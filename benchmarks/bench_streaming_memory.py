@@ -5,7 +5,7 @@ than memory can still be analyzed exactly; the sampled tier
 (``--approx``) exists so a quick bounded-error answer costs a fraction
 of the exact pass.  This benchmark pins both claims on one generated
 pointer-chasing guest whose decoded trace dwarfs the streaming budget
-(~200x here; the gate floor is 4x):
+(~80x here; the gate floor is 4x):
 
 * **RSS ceiling** — three spawned child processes replay the capture
   with the page-cache sidecar off (mmap would hide the working set):
@@ -50,8 +50,8 @@ from repro.serialize import (flat_to_json, quad_to_json, sweep_to_json,
 from repro.sweep import SweepGrid
 from repro.testing.workloads import WorkloadSpec, generate_workload
 
-#: Pointer-chasing guest sized so the decoded trace is hundreds of MiB —
-#: far past any plausible streaming budget.
+#: Pointer-chasing guest sized so the decoded trace is ~160 MiB — far past
+#: any plausible streaming budget.
 SPEC = WorkloadSpec(shape="pointer", seed=11, size=4096, kernels=8,
                     steps=12)
 GRAIN = 2000

@@ -17,10 +17,12 @@ Streams (all rows are ``int64`` columns):
 ``tquad.read`` / ``tquad.write``
     stride 4: ``(icount, incl_bytes, excl_bytes, kernel_id)`` quads — the
     exact buffers of :class:`repro.core.recording.RecordingSink`, spilled
-    before aggregation.  ``kernel_id`` indexes the manifest's ``kernels``
-    table; -1 = dropped access, and ``-2 - id`` marks an access made inside
-    a library frame attributed to kernel ``id`` (``options.library_rows``
-    says whether a capture carries such markers).
+    before aggregation, one per superblock trace segment (per access when a
+    trace straddles the grain, or under ``jit=False``).  ``kernel_id``
+    indexes the manifest's ``kernels`` table; -1 = dropped access, and
+    ``-2 - id`` marks an access made inside a library frame attributed to
+    kernel ``id`` (``options.library_rows`` says whether a capture carries
+    such markers).
 ``calls``
     stride 2: ``(icount, routine_id)`` for routine entries and
     ``(icount, -1)`` for returns.  ``routine_id`` indexes the manifest's
@@ -28,7 +30,7 @@ Streams (all rows are ``int64`` columns):
 ``quad.raw``
     stride 1: the packed records of
     :class:`repro.quad.shadow.PagedQuadSink` (kernel-interned accesses
-    plus negative SP markers), one page per sink drain.
+    plus negative SP markers), one page per sealed buffer.
 
 Invalidation: the manifest records the program digest and the recording
 options; readers must reject replays whose program or options are
@@ -45,6 +47,11 @@ import numpy as np
 
 #: Container format version (bumped on incompatible layout changes).
 CAPTURE_VERSION = 1
+
+#: How the recording sinks cut rows into pages.  Layouts replay to the same
+#: reports but to different page counts, so a capture store recaptures other
+#: layouts.  2: per-segment tQUAD rows with QUAD co-attached (no key: older).
+RECORDER_LAYOUT = 2
 
 #: Manifest member name inside the ZIP container.
 MANIFEST_NAME = "manifest.json"
@@ -143,6 +150,7 @@ def make_manifest(*, program_sha: str, label: str, grain: int, stack: str,
     return {
         "format": CAPTURE_VERSION,
         "kind": "capture",
+        "recorder": RECORDER_LAYOUT,
         "program_sha256": program_sha,
         "label": label,
         "tools": sorted(tools),

@@ -98,11 +98,12 @@ def capture_run(program, dest: "str | BinaryIO | CaptureWriter", *, fs=None,
                 telemetry=TELEMETRY) -> dict:
     """Execute ``program`` once, recording capture streams for ``tools``.
 
-    ``options.slice_interval`` becomes the capture *grain*: tQUAD replays
-    are exact at any interval that is a multiple of it (see
-    :mod:`repro.capture.replay`).  Returns the finalized manifest; the
-    attached tools' live reports are discarded — replay them instead, the
-    property tests assert both paths are byte-identical.
+    ``options.slice_interval`` becomes the capture *grain*: tQUAD rows
+    are per trace segment within one grain slice, and replays are exact at
+    any multiple of it (see :mod:`repro.capture.replay`).  QUAD records
+    only and the tQUAD ledger is discarded — replay the capture instead;
+    the property tests assert both paths are byte-identical.  Returns the
+    finalized manifest.
     """
     unknown = [t for t in tools if t not in CAPTURE_TOOLS]
     if unknown:

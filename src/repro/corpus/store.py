@@ -6,7 +6,8 @@ workspace data share a binary (see
 :func:`repro.capture.format.check_label`).  ``run``/``verify``/``update``
 invocations against the same store therefore re-decode pages instead of
 re-executing guests, and a stale file (digest no longer matching its
-name, e.g. after a guest source edit) is silently re-captured.
+name, e.g. after a guest source edit, or another recorder layout) is
+silently re-captured.
 
 With ``page_cache`` on (the default) the store also maintains each
 capture's decoded-page sidecar (:mod:`repro.capture.pagecache`): the
@@ -21,6 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..capture import CaptureError, CaptureReader, capture_run
+from ..capture.format import RECORDER_LAYOUT
 from ..core import TQuadOptions
 from ..obs import TELEMETRY
 from .entries import CorpusEntry
@@ -55,7 +57,8 @@ class CaptureStore:
             with CaptureReader(path, page_cache=False) as reader:
                 man = reader.manifest
                 return (man.get("program_sha256") == sha
-                        and man.get("label", "") == label)
+                        and man.get("label", "") == label
+                        and man.get("recorder") == RECORDER_LAYOUT)
         except CaptureError:
             return False   # truncated/corrupt: recapture over it
 

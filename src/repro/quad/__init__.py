@@ -3,10 +3,10 @@
 from .overhead import (InstrumentationCostModel, RankShift,
                        instrumented_profile, rank_shifts)
 from .report import QuadReport, Table2Row
-from .tracker import KernelIO, QuadTool, run_quad
+from .tracker import KernelIO, QuadTool, RecordOnlyError, run_quad
 
 __all__ = [
-    "QuadTool", "run_quad", "QuadReport", "Table2Row", "KernelIO",
-    "InstrumentationCostModel", "instrumented_profile", "rank_shifts",
-    "RankShift",
+    "QuadTool", "RecordOnlyError", "run_quad", "QuadReport", "Table2Row",
+    "KernelIO", "InstrumentationCostModel", "instrumented_profile",
+    "rank_shifts", "RankShift",
 ]

@@ -414,14 +414,12 @@ class PagedQuadSink:
     :mod:`repro.vm.superblock`: ``raw`` is true, ``buf`` receives packed
     records (``read_buf``/``write_buf`` alias it so the generic cap check
     applies), ``last_sp`` carries the SP-marker protocol state, ``tag``
-    exposes ``rec_id``, and ``flush`` drains.  ``interval == 0`` keeps
-    superblocks in exact event mode.
+    exposes ``rec_id``, and ``flush`` drains.
     """
 
     raw = True
     track_incl = True
     track_excl = True
-    interval = 0
     kid_shift = KID_SHIFT
     tail_shift = TAIL_SHIFT
     addr_mask = ADDR_MASK
@@ -864,13 +862,11 @@ class PagedQuadSink:
 
 
 class CapturingPagedQuadSink(PagedQuadSink):
-    """A :class:`PagedQuadSink` that also spills each sealed packed-record
-    buffer (including the negative SP markers) to a capture sink before
-    draining it — the QUAD half of the capture-once / analyze-many path.
-
-    Since the captured pages are the exact drained buffers, replaying
-    them through a fresh sink's ``_drain`` (chunked to the same cap)
-    reproduces the shadow state and counters bit-for-bit.
+    """A record-only :class:`PagedQuadSink`: each sealed packed-record
+    buffer (including the negative SP markers) is spilled to a capture
+    sink and cleared, never drained — the QUAD half of the capture-once /
+    analyze-many path.  Replaying the pages through a fresh sink's
+    ``_drain`` (chunked to the same cap) builds the shadow bit-for-bit.
     """
 
     #: stream name, kept in sync with repro.capture.format
@@ -887,7 +883,7 @@ class CapturingPagedQuadSink(PagedQuadSink):
     def flush(self) -> None:
         if self.buf:
             self.capture.add(self.STREAM, self.buf.tobytes())
-        super().flush()
+            del self.buf[:]
 
 
 def make_raw_recorder(sink: PagedQuadSink, *, write: bool):

@@ -60,6 +60,10 @@ class KernelIO:
     writes_nonstack: int = 0
 
 
+class RecordOnlyError(RuntimeError):
+    """A capturing QuadTool only records; replay the capture instead."""
+
+
 def unma_card(value: "set[int] | int") -> int:
     """Cardinality of an UnMA field (set on the legacy path, int on the
     paged path)."""
@@ -67,7 +71,7 @@ def unma_card(value: "set[int] | int") -> int:
 
 
 class QuadTool:
-    """The QUAD pintool."""
+    """The QUAD pintool (record-only when ``capture`` is set)."""
 
     def __init__(self, *, track_bindings: bool = True,
                  shadow: str = "paged", capture=None):
@@ -154,14 +158,15 @@ class QuadTool:
                        IARG.RTN_NAME, IARG.RTN_IMAGE)
 
     def flush(self) -> None:
-        """Drain any buffered records (no-op on the legacy path) and
-        publish the shadow-memory footprint gauges."""
+        """Drain (capturing: spill) any buffered records (no-op on the
+        legacy path) and publish the shadow-memory footprint gauges."""
         if self.sink is not None:
             self.sink.flush()
-            from .. import obs
+            if self.capture is None:
+                from .. import obs
 
-            for key, value in self.sink.stats().items():
-                obs.TELEMETRY.gauge(f"quad/{key}", value)
+                for key, value in self.sink.stats().items():
+                    obs.TELEMETRY.gauge(f"quad/{key}", value)
         elif self.shadow:
             from .. import obs
 
@@ -267,10 +272,14 @@ class QuadTool:
         self.bindings = {(names[p], names[c]): list(v)
                          for (p, c), v in sink.kid_bindings.items()}
 
-    def report(self) -> "QuadReport":
+    def report(self, *, allow_partial: bool = False) -> "QuadReport":
         from .report import QuadReport
 
-        if not self.finished:
+        if self.capture is not None:
+            raise RecordOnlyError(
+                "a capturing QuadTool records only; replay the capture "
+                "(repro.capture.replay_quad) for its report")
+        if not self.finished and not allow_partial:
             raise RuntimeError("run the engine before asking for the report")
         if self.sink is not None:
             self._materialize()

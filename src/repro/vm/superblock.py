@@ -85,17 +85,19 @@ A sink may instead declare ``raw = True`` (see
 ``sink.last_sp``; SP changes orders of magnitude less often than memory is
 touched).  The ``(rec_id + 1) << kid_shift`` head is hoisted into a local
 per trace segment, so the steady-state cost is one ``append`` per access.
-Raw sinks carry ``interval = 0``, which keeps their traces in exact event
-mode.
+Raw records are identical in both modes below, so raw sinks take no part
+in the mode decision.
 
 When every instruction of the trace provably lands in one time slice
 (checked with a single division at entry — true unless the trace straddles
 a slice boundary, i.e. almost always), the generated code accumulates byte
-counts in local variables and appends **one** quad per trace segment; the
-per-access quad emission is kept as the ``else`` branch for the straddling
-case, so aggregation is exact, not approximate.  Segments close before any
-analysis thunk runs (thunks may switch the attributed kernel) and before
-every exit.
+counts in local variables and appends **one** quad per trace segment; a
+straddling execution runs a per-access variant of the trace instead
+(compiled on its first straddle), so aggregation is exact, not
+approximate.  Segments close before any analysis thunk runs (thunks may
+switch the attributed kernel), before every exit, and — in a zero-cost
+``except`` clause — on a fault, so the records of retired accesses (and of
+the faulting one, analysed before it executes) survive it.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ MAX_BLOCK = 128
 #: Sentinel returned by a block instrumenter's ``plan`` when the instruction
 #: must go through the per-instruction ``instrument_hook`` path.
 FALLBACK = "per-instruction-fallback"
+
+#: Exceptions a generated body raises mid-trace (caught to flush records).
+_FAULTS = (MemoryFault, ArithmeticFault)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -251,6 +256,10 @@ class _Records:
         #: attribute lookup (buffers are reset in place, never replaced)
         self._buffns: dict[int, tuple[str, str]] = {}
         self._na = 0
+        #: sink id -> every pending raw record as [emitting k, flushing k,
+        #: kind-head local (None for an SP marker), value local, EA mask];
+        #: the fault handler re-emits those open at the faulting k
+        self._live: dict[int, list[list]] = {}
 
     def _buf_fns(self, sink) -> tuple[str, str]:
         sid = id(sink)
@@ -265,6 +274,8 @@ class _Records:
         (agg mode only)."""
         E = self.E
         for si, (sink, kind) in enumerate(pairs):
+            if getattr(sink, "raw", False):
+                continue
             vI, vE = f"aI{si}", f"aE{si}"
             self._vars[(id(sink), kind)] = (vI, vE, sink)
             names = []
@@ -291,6 +302,7 @@ class _Records:
                     E.add(f"{v} = {x}[2]")
                     E.add(f"{S}.last_sp = {v}")
                     self._pend[sid].append(f"-1 - {v}")
+                    self._live[sid].append([k, None, None, v, 0])
                 else:
                     ap = self._buf_fns(sink)[0]
                     E.add(f"if {S}.last_sp != {x}[2]:")
@@ -315,6 +327,8 @@ class _Records:
             self._na += 1
             E.add(f"{v} = a")
             self._pend.setdefault(sid, []).append(f"{kq} | {v}")
+            self._live.setdefault(sid, []).append(
+                [k, None, kq, v, sink.addr_mask])
             self._pend_sinks[sid] = sink
             return
         if self.mode == "agg":
@@ -361,7 +375,7 @@ class _Records:
             names.append(vE)
         E.add(f"    {' = '.join(names)} = 0")
 
-    def _flush_raw(self, sid: int) -> None:
+    def _flush_raw(self, sid: int, k: int) -> None:
         """Emit the pending packed records of one raw sink as a single
         ``extend`` (or ``append`` for a lone record)."""
         exprs = self._pend.get(sid)
@@ -373,18 +387,37 @@ class _Records:
         else:
             self.E.add(f"{ex}(({', '.join(exprs)}))")
         exprs.clear()
+        for live in self._live[sid]:
+            if live[1] is None:
+                live[1] = k
 
-    def close_segment(self) -> None:
+    def close_segment(self, k: int) -> None:
         """Flush dirty accumulators to the buffers and reset them.  Emitted
-        before analysis thunks (which may change ``tag.rec_id``) and before
-        the trace's final exit."""
+        before instruction ``k``'s analysis thunks (which may change
+        ``tag.rec_id``) and before the trace's final exit."""
         for key in self._dirty:
             self._emit_close(key)
         self._dirty.clear()
         for sid in self._pend:
-            self._flush_raw(sid)
+            self._flush_raw(sid, k)
         self._kh.clear()
         self._kq.clear()
+
+    def fault_handler(self, m: str, faults: str) -> None:
+        """Emit the ``except`` clause of the body's ``try``: the open
+        segment's records reach the buffers before the fault propagates."""
+        E = self.E
+        E.add(f"except {faults}:")
+        E.push()
+        for key in self._vars:
+            self._emit_close(key)
+        fr = E.bind("fr", _fault_records)
+        for sid, sink in self._pend_sinks.items():
+            table = E.bind("ft", tuple(map(tuple, self._live[sid])))
+            E.add(f"{self._buf_fns(sink)[1]}({fr}(locals(), "
+                  f"{m}.icount - ic - 1, {table}))")
+        E.add("raise")
+        E.pop()
 
     def sp_unsync(self) -> None:
         """The just-emitted instruction may have written SP: raw sinks must
@@ -393,6 +426,12 @@ class _Records:
         pending stream itself, so order is preserved without a flush."""
         self._sp_ok.clear()
 
+
+def _fault_records(env: dict, fk: int, table: tuple) -> list[int]:
+    """The raw records a fault at instruction ``fk`` left pending, read
+    from the generated function's locals (``env``)."""
+    return [env[kq] | (env[v] & mask) if kq else -1 - env[v]
+            for lo, hi, kq, v, mask in table if lo <= fk < hi]
 
 
 def build_block(machine, start: int):
@@ -478,7 +517,7 @@ def _record_pairs(items) -> list:
     return pairs
 
 
-def _compile_block(machine, items, guarded: bool):
+def _compile_block(machine, items, guarded: bool, event: bool = False):
     n = len(items)
     E = _Emitter()
     m = E.bind("m", machine)
@@ -506,21 +545,19 @@ def _compile_block(machine, items, guarded: bool):
         E.add(f"{m}.icount = ic + 1")
         E.add(f"if not {x}[{items[0][1].pred}]: return {items[0][0] + 1}")
 
-    intervals = {sink.interval for sink, _ in pairs}
-    if pairs and len(intervals) == 1 and min(intervals) >= n:
+    # raw sinks emit the same packed records in both modes below
+    intervals = {sink.interval for sink, _ in pairs
+                 if not getattr(sink, "raw", False)}
+    if not event and len(intervals) == 1 and min(intervals) >= n:
         # The whole trace spans one slice unless a boundary falls inside it
         # (possible only every `interval` instructions): aggregate in locals
-        # on the fast path, fall back to exact per-access quads on the rare
-        # straddling execution.
+        # on the fast path; the rare straddling execution runs the exact
+        # per-access variant, compiled on first use (most traces never
+        # straddle, and compiling dominates short runs).
         I = intervals.pop()
-        E.add(f"if ic // {I} == (ic + {n - 1}) // {I}:")
-        E.push()
+        cell = E.bind("ev", _lazy_event_variant(machine, items, guarded))
+        E.add(f"if ic // {I} != (ic + {n - 1}) // {I}: return {cell}[0](pc)")
         _emit_body(E, machine, items, "agg", m, x)
-        E.pop()
-        E.add("else:")
-        E.push()
-        _emit_body(E, machine, items, "event", m, x)
-        E.pop()
     else:
         _emit_body(E, machine, items, "event" if pairs else "none", m, x)
 
@@ -532,23 +569,36 @@ def _compile_block(machine, items, guarded: bool):
     return ns["step"]
 
 
+def _lazy_event_variant(machine, items, guarded: bool) -> list:
+    """A one-slot cell holding a stub that compiles the trace's event-mode
+    variant on first call and replaces itself with it."""
+    def first(pc):
+        cell[0] = _compile_block(machine, items, guarded, event=True)
+        return cell[0](pc)
+    cell = [first]
+    return cell
+
+
 def _emit_body(E: _Emitter, machine, items, mode: str, m: str,
                x: str) -> None:
     n = len(items)
     rec = _Records(E, mode, x)
     if mode == "agg":
         rec.declare(_record_pairs(items))
+    if mode != "none":
+        E.add("try:")
+        E.push()
     terminated = False
     for k, (index, ins, plan) in enumerate(items):
         if plan is not None and plan.pre:
-            rec.close_segment()
+            rec.close_segment(k)
             # restore the exact per-instruction count for analysis thunks
             # (they may read machine.icount, e.g. gprof-sim and IARG.ICOUNT)
             E.add(f"{m}.icount = ic + {k + 1}")
             for thunk in plan.pre:
                 E.add(f"{E.bind('t', thunk)}()")
         if k == n - 1 and ins.op in _TERMINATORS:
-            rec.close_segment()
+            rec.close_segment(k)
         terminated = _emit_instr(E, machine, index, ins, plan, k, n, rec,
                                  m, x)
         if ins.rd == 2:
@@ -556,9 +606,12 @@ def _emit_body(E: _Emitter, machine, items, mode: str, m: str,
             # stores rd is the source register — re-checking is a no-op)
             rec.sp_unsync()
     if not terminated:
-        rec.close_segment()
+        rec.close_segment(n)
         E.add(f"{m}.icount = ic + {n}")
         E.add(f"return {items[-1][0] + 1}")
+    if mode != "none":
+        E.pop()
+        rec.fault_handler(m, E.bind("FT", _FAULTS))
 
 
 def _emit_instr(E: _Emitter, machine, index: int, ins: Instr,

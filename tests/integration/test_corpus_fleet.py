@@ -10,7 +10,11 @@ import json
 
 import pytest
 
+from repro.capture import (CaptureReader, CaptureWriter, capture_run,
+                           program_digest)
+from repro.capture.format import RECORDER_LAYOUT
 from repro.cli import main
+from repro.core import TQuadOptions
 from repro.corpus import (ARTIFACTS, CaptureStore, fleet_entries,
                           run_fleet, update_fleet, verify_fleet)
 
@@ -104,6 +108,34 @@ class TestFleetEngine:
         report = run_fleet(store=store, only=ENTRY)
         assert report.ok
         assert store.misses == 2
+
+    def test_unmarked_recorder_layout_recaptured(self, tmp_path, store):
+        """A capture without the recorder-layout marker predates the
+        per-segment tQUAD rows and replays to other page counts: the
+        store rebuilds it instead of reporting drift."""
+        (entry,) = fleet_entries(only="stencil-tiny")
+        program = entry.build_program()
+        path = store.path_for(program_digest(program), entry.label)
+        path.parent.mkdir(parents=True)
+
+        class UnmarkedWriter(CaptureWriter):
+            def finalize(self, manifest):
+                manifest = dict(manifest)
+                del manifest["recorder"]
+                return super().finalize(manifest)
+
+        # the unfused tier records one tQUAD row per access, the page
+        # layout older recorders produced with QUAD co-attached
+        capture_run(program, UnmarkedWriter(str(path)),
+                    fs=entry.make_workspace(),
+                    options=TQuadOptions(slice_interval=entry.interval),
+                    tools=("tquad", "gprof", "quad"), label=entry.label,
+                    jit=False)
+        report = verify_fleet(store=store, only=entry.name)
+        assert report.ok, [e.to_json() for e in report.entries]
+        assert (store.hits, store.misses) == (0, 1)
+        with CaptureReader(path, page_cache=False) as reader:
+            assert reader.manifest["recorder"] == RECORDER_LAYOUT
 
     def test_corrupt_sidecar_rebuilt(self, tmp_path, store):
         """A corrupt decoded-page sidecar is evicted and rebuilt like a

@@ -20,12 +20,13 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            capture_run, check_program, make_manifest,
                            merge_capture_segments, program_digest,
                            replay_gprof, replay_quad, replay_tquad)
-from repro.capture.format import decode_page, encode_page
+from repro.capture.format import RECORDER_LAYOUT, decode_page, encode_page
 from repro.core import TQuadOptions, TQuadTool, profile_passes, run_tquad
 from repro.core.options import StackPolicy
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
-from repro.quad import QuadTool, run_quad
+from repro.pin import PinEngine
+from repro.quad import QuadTool, RecordOnlyError, run_quad
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
 
 APP = """
@@ -276,6 +277,21 @@ class TestToolGuards:
     def test_quad_capture_requires_paged_shadow(self):
         with pytest.raises(ValueError, match="paged"):
             QuadTool(shadow="legacy", capture=CaptureCollector())
+
+    def test_capturing_quad_tool_records_only(self):
+        engine = PinEngine(build_program(APP))
+        collector = CaptureCollector()
+        tool = QuadTool(capture=collector).attach(engine)
+        engine.run()
+        assert collector.pages[STREAM_QUAD]
+        assert tool.sink.shadow.n_pages == 0    # never drained live
+        with pytest.raises(RecordOnlyError, match="replay"):
+            tool.report()
+
+    def test_manifest_carries_recorder_layout(self):
+        _, reader = _capture(tools=("tquad",))
+        with reader:
+            assert reader.manifest["recorder"] == RECORDER_LAYOUT
 
     def test_capture_run_rejects_unknown_tools(self):
         program = build_program("int main() { return 0; }")

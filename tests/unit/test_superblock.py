@@ -8,6 +8,8 @@ equivalence on the MiniC kernel corpus and the WFS application, plus the
 exact-budget semantics of ``Machine.run``.
 """
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,12 +18,15 @@ from repro.apps.kernels import (build_conv2d, build_fir, build_histogram,
 from repro.apps.wfs import TINY, build_wfs_program
 from repro.apps.wfs.source import make_workspace
 from repro.asmkit import assemble
-from repro.core import StackPolicy, TQuadOptions, run_tquad
+from repro.capture import CaptureReader, capture_run, replay_quad
+from repro.core import StackPolicy, TQuadOptions, TQuadTool, run_tquad
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import QuadTool
+from repro.serialize import quad_to_json, tquad_to_json
 from repro.vm import InstructionBudgetExceeded, Machine
+from repro.vm.errors import ArithmeticFault, MemoryFault
 from repro.vm.superblock import MAX_BLOCK, build_block
 
 
@@ -209,6 +214,128 @@ class TestProfilerDifferential:
                 engine.run()
                 counts.add(tool.prefetches_skipped)
         assert counts == {32}
+
+
+def _profile(program, *, jit, tools, policy, grain=100000):
+    """Run ``tools`` co-attached on one engine; return the fault (if the
+    guest crashed) and each tool's (partial) report as JSON."""
+    engine = PinEngine(program, jit=jit)
+    tquad = quad = None
+    if "tquad" in tools:
+        tquad = TQuadTool(TQuadOptions(slice_interval=grain,
+                                       stack=policy)).attach(engine)
+    if "quad" in tools:
+        quad = QuadTool().attach(engine)
+    fault = None
+    try:
+        engine.run()
+    except (MemoryFault, ArithmeticFault) as exc:
+        fault = (type(exc), exc.pc, engine.machine.icount)
+    out = [fault]
+    if tquad is not None:
+        out.append(tquad_to_json(tquad.report(allow_partial=True)))
+    if quad is not None:
+        out.append(quad_to_json(quad.report(allow_partial=True)))
+    return out
+
+
+def _tquad_rows(program, *, grain, tools, jit=True):
+    """(read rows, write rows) of a capture's tQUAD streams."""
+    buf = io.BytesIO()
+    capture_run(program, buf, tools=tools, jit=jit,
+                options=TQuadOptions(slice_interval=grain))
+    buf.seek(0)
+    with CaptureReader(buf) as reader:
+        return (len(reader.column("tquad.read")),
+                len(reader.column("tquad.write")))
+
+
+class TestSegmentModeWithQuad:
+    """QUAD's raw sink co-attached must not veto tQUAD's per-segment
+    aggregation; straddling traces still take the exact event branch."""
+
+    # trace 1 = li + beq (icounts 1-2); trace 2 = the six instructions
+    # from `body`, entered at icount 2, reading three words at icounts
+    # 4, 5 and 7 and writing one at 6
+    SEGMENT = assemble(""".data
+    buf: .space 32
+    .text
+    .func main
+    main:
+        li t0, 0
+        beq t0, t0, body
+    body:
+        la t1, buf
+        ld t2, 0(t1)
+        ld t3, 8(t1)
+        sd t2, 16(t1)
+        ld t4, 24(t1)
+        halt
+    .endfunc
+    """)
+
+    @pytest.mark.parametrize("tools", [("tquad",), ("tquad", "quad")])
+    def test_non_straddling_trace_takes_agg_branch(self, tools):
+        # 2 // 8 == 7 // 8: one row per direction for the whole segment
+        assert _tquad_rows(self.SEGMENT, grain=8, tools=tools) == (1, 1)
+
+    @pytest.mark.parametrize("tools", [("tquad",), ("tquad", "quad")])
+    def test_straddling_trace_takes_event_branch(self, tools):
+        # 2 // 6 != 7 // 6: the trace crosses a slice boundary
+        assert _tquad_rows(self.SEGMENT, grain=6, tools=tools) == (3, 1)
+
+    def test_unfused_tier_records_per_access(self):
+        assert _tquad_rows(self.SEGMENT, grain=8, tools=("tquad", "quad"),
+                           jit=False) == (3, 1)
+
+    @pytest.mark.parametrize("policy", list(StackPolicy))
+    @pytest.mark.parametrize("grain", [7, 5000])
+    def test_reports_equal_unfused(self, policy, grain):
+        program = build_fir(length=256, n_taps=8)
+        reports = [_profile(program, jit=jit, tools=("tquad", "quad"),
+                            policy=policy, grain=grain)
+                   for jit in (True, False)]
+        assert reports[0] == reports[1]
+
+    def test_wfs_tiny_capture_aggregates_reads(self):
+        """Guard against a silent fall-back to per-access rows."""
+        program = build_wfs_program(TINY)
+        buf = io.BytesIO()
+        capture_run(program, buf, fs=make_workspace(TINY),
+                    tools=("tquad", "quad"),
+                    options=TQuadOptions(slice_interval=2500))
+        buf.seek(0)
+        with CaptureReader(buf) as reader:
+            rows = len(reader.column("tquad.read"))
+            reads = sum(io_.reads for io_ in
+                        replay_quad(reader).kernels.values())
+        assert rows < reads
+
+
+class TestFaultPathRecords:
+    """A fault mid-trace must not lose the records of accesses that
+    retired before it: partial reports match the per-instruction tier."""
+
+    GUEST = """
+    int g[64];
+    int work(int n) {
+        int i; int s = 0; int *p = 0; int z = 0;
+        for (i = 0; i < n; i = i + 1) { g[i] = i; s = s + g[i]; }
+        return s + %s;
+    }
+    int main() { return work(60); }
+    """
+
+    @pytest.mark.parametrize("policy", list(StackPolicy))
+    @pytest.mark.parametrize("tools", [("tquad",), ("quad",),
+                                       ("tquad", "quad")])
+    @pytest.mark.parametrize("crash", ["*p", "*(p - 8)", "s / z"])
+    def test_partial_reports_equal_unfused(self, crash, tools, policy):
+        program = build_program(self.GUEST % crash)
+        fused, unfused = (_profile(program, jit=jit, tools=tools,
+                                   policy=policy) for jit in (True, False))
+        assert fused[0] is not None
+        assert fused == unfused
 
 
 class TestTraceFormation:
