@@ -374,8 +374,8 @@ def replay_quad(reader: CaptureReader, *, track_bindings: bool = True,
             # pages seal at the capture-time flush cadence, usually far
             # below the drain cap; per-drain fixed costs dominate small
             # drains, so batch pages up to the shared replay tunable
-            # (bounded by the cap _drain's packed-weight accumulators
-            # rely on) before draining
+            # (the drain cap, which sizes the word path's sort key)
+            # before draining
             batch = PAGE_BATCH_ROWS
             if budget:
                 pages = StreamingCursor(reader, STREAM_QUAD,

@@ -36,11 +36,23 @@ SP changes orders of magnitude less often than memory is accessed.
 Exactness
 ---------
 
-The drain is byte-identical to the legacy per-byte walk.  Aligned 8-byte
-accesses (the overwhelming majority) flow through a word-granular
-vectorized pipeline: events are sorted by word with a *stable* (radix)
-``argsort`` — ties keep program order within each word — and a
-running-maximum scan finds the last write before each read.
+The drain is byte-identical to the legacy per-byte walk.  Every access
+counter (reads, writes, their non-stack shares, IN bytes incl/excl)
+comes from one integer ``bincount`` over each record's (kernel, width,
+kind, bytes-below-SP) payload.  Aligned 8-byte accesses (the
+overwhelming majority) then flow through a word-granular pipeline:
+
+* one in-place sort of a unique ``word << bits | seq`` key orders the
+  events by word and, within a word, by program order, and one gather
+  fetches their payloads;
+* runs of identical (word, payload) events collapse to one event with a
+  count — a repeated read or write changes nothing but the tallies;
+* one running-maximum scan over writes and word-leading events finds
+  each read's producer: the last write before it, or the persistent
+  shadow, looked up once per distinct word;
+* one count-weighted ``bincount`` over (producer, consumer,
+  bytes-below-SP) yields the OUT columns and the bindings.
+
 Words ever touched by a sub-word or misaligned access in the same buffer
 are routed, together with every colliding word access, through an exact
 in-order per-byte walk; the two partitions touch disjoint words, so their
@@ -48,6 +60,11 @@ relative order cannot matter.  Stack classification is per *byte* for the
 byte-denominated columns (``a < sp`` each byte) and per access (``ea <
 sp``) for the access counters, fixing the historical whole-access
 classification of straddling accesses in both shadow implementations.
+
+Records are validated in the same pass: a kernel id outside the interned
+table or a width the drain cannot split into words raises
+``CaptureFormatError``, and a captured stream must carry ISA widths
+(1, 2, 4 or 8 bytes) only.
 """
 
 from __future__ import annotations
@@ -72,13 +89,32 @@ KID_SHIFT = 43
 TAIL_SHIFT = 37
 ADDR_MASK = (1 << TAIL_SHIFT) - 1
 
-#: Soft buffer capacity in records.  The drain packs per-buffer byte
-#: sums as ``excl << 21 | incl`` weights, so the records per drain must
-#: stay below 2^18 (each touches at most 8 bytes); the cap leaves slack
-#: for the records one superblock can append past the entry-time check.
+#: Soft buffer capacity in records.  The word path sorts one
+#: ``word << bits | seq`` key, where ``bits`` is the width of a record's
+#: index in its drain: the cap keeps a drain under 2^17 records, so
+#: ``seq`` fits 17 bits and the key 51.  The 512 slack covers the records
+#: one superblock can append past the entry-time check.
 DEFAULT_RAW_CAP = (1 << 17) - 512
 
 _FULL_WORD = np.int64(0x0101010101010101)
+
+#: Size and low address bits of a record that is one aligned 8-byte word.
+_WORD_MASK = (31 << (TAIL_SHIFT + 1)) | 7
+_WORD_BITS = 8 << (TAIL_SHIFT + 1)
+#: Access widths no drain can split into words (0, or wider than one).
+_BAD_WIDTH = np.ones(32, bool)
+_BAD_WIDTH[1:9] = False
+#: Widths a captured record may not carry: the ISA moves 1, 2, 4 or 8
+#: bytes (live sinks accept any width up to 8).
+_ODD_WIDTH = np.ones(32, bool)
+_ODD_WIDTH[[1, 2, 4, 8]] = False
+#: Byte weights of the size (5-bit) and n_below (4-bit) histogram axes.
+_BYTES = np.arange(32, dtype=np.int64)
+
+
+def _forged(what: str):
+    from ..capture.format import CaptureFormatError
+    raise CaptureFormatError(f"forged QUAD record: {what}")
 
 
 def _concat_aranges(counts: np.ndarray) -> np.ndarray:
@@ -445,6 +481,8 @@ class PagedQuadSink:
     def _fresh_state(self) -> None:
         self.shadow = ShadowPages(self.mem_size)
         self._counts = np.zeros((8, 8), np.int64)
+        #: drained accesses per width in bytes
+        self._widths = np.zeros(32, np.int64)
         self._nk = 0
         #: all per-kernel [in_incl, in_excl, out_incl, out_excl] UnMA
         #: bitmaps in one plane-keyed store (plane = kid * 4 + view).
@@ -503,210 +541,247 @@ class PagedQuadSink:
     def drain_stream(self, chunks, batch_rows: int | None = None) -> None:
         """Drain raw packed-record arrays in bounded batches.
 
-        The chunk-friendly face of :meth:`_drain` for streaming replays:
+        The chunk-friendly face of :meth:`_drain` for capture replays:
         ``chunks`` yields 1-D packed-record arrays of any length, which
-        are re-cut to ``batch_rows`` (clamped to the drain cap — the
-        packed weight accumulators overflow past 2**18 records per
-        drain) with tail carry between chunks, so callers never
-        concatenate the full stream.
+        are re-cut to ``batch_rows`` (clamped to the sink's cap) with tail
+        carry between chunks, so callers never concatenate the full
+        stream.  The whole stream is one ``drain`` span and one
+        ``quad/records_drained`` count.  Records must carry an access
+        width the ISA has (1, 2, 4 or 8 bytes); anything else is a forged
+        capture and raises ``CaptureFormatError``.
         """
         cap = (self.cap if batch_rows is None
                else max(min(int(batch_rows), self.cap), 1))
-        tail = None
-        for vals in chunks:
+        total = 0
+        with _TELEMETRY.span("drain", cat="quad") as span:
+            tail = None
+            for vals in chunks:
+                total += vals.size
+                if tail is not None:
+                    vals = np.concatenate([tail, vals])
+                    tail = None
+                lo = 0
+                while vals.size - lo >= cap:
+                    self._drain(vals[lo:lo + cap])
+                    lo += cap
+                if vals.size - lo:
+                    tail = vals[lo:]
             if tail is not None:
-                vals = np.concatenate([tail, vals])
-                tail = None
-            lo = 0
-            while vals.size - lo >= cap:
-                self._drain(vals[lo:lo + cap])
-                lo += cap
-            if vals.size - lo:
-                tail = vals[lo:]
-        if tail is not None:
-            self._drain(tail)
+                self._drain(tail)
+            if _TELEMETRY.enabled:
+                span.args["records"] = total
+        _TELEMETRY.count("quad/records_drained", total)
+        if self._widths[_ODD_WIDTH].any():
+            _forged("access width outside {1, 2, 4, 8}")
 
     def _drain(self, vals: np.ndarray) -> None:
         neg = vals < 0
         if neg.any():
-            markers = -vals[neg] - 1
-            sp_stream = np.empty(markers.size + 1, np.int64)
-            sp_stream[0] = self._sp0
-            sp_stream[1:] = markers
-            sp_all = sp_stream[np.cumsum(neg)]
-            self._sp0 = int(sp_stream[-1])
+            at = np.flatnonzero(neg)
+            sps = np.empty(at.size + 1, np.int64)
+            sps[0] = self._sp0
+            np.subtract(-1, vals[at], out=sps[1:])
+            self._sp0 = int(sps[-1])
+            # each marker sets SP for the records up to the next marker:
+            # forward-fill by repeating every SP over its record run
             r = vals[~neg]
-            sp = sp_all[~neg]
+            sp = np.repeat(sps, np.diff(at, prepend=-1, append=vals.size) - 1)
         else:
             r = vals
-            sp = np.full(vals.size, self._sp0, np.int64)
-        kid1 = r >> KID_SHIFT
-        keep = kid1 != 0
-        if not keep.all():
-            r, sp, kid1 = r[keep], sp[keep], kid1[keep]
+            sp = self._sp0
         if not r.size:
             return
-        kid = kid1 - 1
-        a = r & ADDR_MASK
-        size = (r >> (TAIL_SHIFT + 1)) & 31
-        iwi = (r >> TAIL_SHIFT) & 1
-
         self._ensure_kernels()
         nk = self._nk
+        tail = r >> TAIL_SHIFT            # kid1 << 6 | size << 1 | is_write
+        top = int(tail.max()) >> 6
+        if top > nk:
+            _forged(f"kernel id {top - 1} outside the {nk} interned kernels")
+        a = r & ADDR_MASK
+        word_ok = (r & _WORD_MASK) == _WORD_BITS      # aligned 8-byte
+        words_only = bool(word_ok.all())
+        if words_only:
+            nb = np.clip(sp - a, 0, 8)
+        else:
+            size = (tail >> 1) & 31
+            # widths over 8 are rejected below; until then keep n_below
+            # inside its 4 bits
+            nb = np.clip(sp - a, 0, np.minimum(size, 8))
+        # nb: bytes of each access below SP — the excl share, and > 0
+        # exactly when the access itself counts as non-stack
+        ev = tail << 4
+        ev |= nb
+        # every access counter from one integer histogram over
+        # (kid1, size, is_write, n_below); kid1 == 0 rows are dropped
+        # accesses
+        hist = np.bincount(ev, minlength=(nk + 1) << 10).reshape(
+            nk + 1, 32, 2, 16)
+        by_size = hist[1:].sum(axis=3)          # (kid, size, kind)
+        by_below = hist[1:].sum(axis=1)         # (kid, kind, n_below)
+        widths = by_size.sum(axis=(0, 2))
+        if widths[_BAD_WIDTH].any():
+            _forged("access width outside 1..8 bytes")
+        self._widths += widths
         counts = self._counts
-        # all four dynamic access counters from one bincount: index
-        # kid + nk * (is_write + 2 * nonstack), nonstack per *access*
-        c = np.bincount(kid + nk * (iwi + 2 * (a < sp)), minlength=4 * nk)
-        counts[_READS, :nk] += c[0:nk] + c[2 * nk:3 * nk]
-        counts[_WRITES, :nk] += c[nk:2 * nk] + c[3 * nk:4 * nk]
-        counts[_READS_NS, :nk] += c[2 * nk:3 * nk]
-        counts[_WRITES_NS, :nk] += c[3 * nk:4 * nk]
-        nb_rec = np.clip(sp - a, 0, size)     # per-byte stack split
-        isw = iwi.astype(bool)
-        rd = ~isw
-        rk = kid[rd]
-        # packed weights (excl << 21 | incl): per-drain byte sums stay
-        # under 2^21 (record cap 2^17 x 8 bytes), so the float64 bincount
-        # accumulator is exact and one pass yields both columns
-        wsum = np.bincount(rk, weights=size[rd] + (nb_rec[rd] << 21),
-                           minlength=nk)[:nk].astype(np.int64)
-        counts[_IN_INCL, :nk] += wsum & ((1 << 21) - 1)
-        counts[_IN_EXCL, :nk] += wsum >> 21
+        counts[[_READS, _WRITES], :nk] += by_below.sum(axis=2).T
+        counts[[_READS_NS, _WRITES_NS], :nk] += (
+            by_below[:, :, 1:].sum(axis=2).T)
+        counts[_IN_INCL, :nk] += by_size[:, :, 0] @ _BYTES
+        counts[_IN_EXCL, :nk] += by_below[:, 0] @ _BYTES[:16]
 
-        full = (size == 8) & ((a & 7) == 0)
-        if full.all():
-            self._drain_fast(a >> 3, kid, isw, sp)
+        if hist[0].any():
+            # a kernel-id field of 0 marks a dropped access: counted nowhere
+            live = r >= 1 << KID_SHIFT
+            if not live.any():
+                return
+            a, ev, tail, word_ok = a[live], ev[live], tail[live], word_ok[live]
+            if np.ndim(sp):
+                sp = sp[live]
+            if not words_only:
+                size = size[live]
+                words_only = bool(word_ok.all())
+        if words_only:
+            self._drain_words(a, ev)
             return
         # words ever touched sub-word/misaligned this buffer, plus every
-        # full-word access colliding with them, take the exact slow walk;
+        # full-word access colliding with them, take the exact byte walk;
         # the partitions touch disjoint words, so ordering across them
         # cannot be observed.
-        pa, ps = a[~full], size[~full]
+        part = ~word_ok
+        pa, ps = a[part], size[part]
         slow_words = np.unique(np.concatenate([pa >> 3, (pa + ps - 1) >> 3]))
         word = a >> 3
         # membership via binary search in the sorted unique slow set —
         # np.isin would re-sort the (much larger) word array instead
         at = np.searchsorted(slow_words, word)
         at[at == slow_words.size] = 0
-        collide = full & (slow_words[at] == word)
-        fast = full & ~collide
-        self._drain_fast(word[fast], kid[fast], isw[fast], sp[fast])
-        slow = ~fast
-        self._drain_slow(a[slow], size[slow], kid[slow], isw[slow],
-                         sp[slow])
+        collide = word_ok & (slow_words[at] == word)
+        word_ok &= ~collide
+        self._drain_words(a[word_ok], ev[word_ok])
+        part |= collide
+        ts = tail[part]
+        self._drain_slow(a[part], size[part], (ts >> 6) - 1,
+                         (ts & 1).astype(bool),
+                         np.broadcast_to(sp, a.shape)[part])
 
     # ------------------------------------------------- fast (word) path
-    def _drain_fast(self, word: np.ndarray, kid: np.ndarray,
-                    isw: np.ndarray, sp: np.ndarray) -> None:
-        nf = word.size
-        if not nf:
+    def _drain_words(self, a: np.ndarray, ev: np.ndarray) -> None:
+        """Aligned 8-byte accesses: one event per word, in bulk.
+
+        ``ev`` holds each access's ``kid1 << 10 | size << 5 | is_write << 4
+        | n_below`` payload.  One in-place sort of ``word << bits | seq``
+        orders the events by word and, within a word, by program order;
+        runs of identical (word, payload) events then collapse to one
+        event with a count."""
+        n = a.size
+        if not n:
             return
-        assert nf < (1 << 18), "raw cap exceeded the packed-weight bound"
-        nb = np.clip(sp - (word << 3), 0, 8)
-        # stable radix sort: ties keep program order, same ordering the
-        # packed (word << 18) | seq key produced, without the key build
-        order = stable_argsort(word)
-        w = word[order]
-        k = kid[order]
-        iw = isw[order]
-        nbo = nb[order]
-        pos = np.arange(nf)
-        gs = np.empty(nf, bool)
+        bits = max((n - 1).bit_length(), 3)
+        key = (a << (bits - 3)) | np.arange(n)        # word << bits | seq
+        key.sort()
+        w = key >> bits
+        p = ev[key & ((1 << bits) - 1)]
+        gs = np.empty(n, bool)          # group start: first event of a word
         gs[0] = True
-        gs[1:] = w[1:] != w[:-1]
-        gfirst = np.maximum.accumulate(np.where(gs, pos, 0))
-        lastw = np.maximum.accumulate(np.where(iw, pos, -1))
-        rd = ~iw
+        np.not_equal(w[1:], w[:-1], out=gs[1:])
+        run = gs.copy()
+        run[1:] |= p[1:] != p[:-1]
+        starts = np.flatnonzero(run)
+        cnt = np.diff(starts, append=n)
+        w, p, gs = w[starts], p[starts], gs[starts]
+        m = starts.size
+        iw = (p & 16) != 0
+        k1 = p >> 10
+        nb = p & 15
 
-        # producer of each read: last in-buffer write to the same word,
-        # else the persistent shadow (whole-word gather + uniformity test)
-        prod = np.zeros(nf, np.int64)
-        inbuf = rd & (lastw >= gfirst)
-        prod[inbuf] = k[lastw[inbuf]] + 1
-        pers = rd & ~inbuf
-        if pers.any():
-            pw = w[pers]
-            mat = self.shadow.gather_words(pw)
+        # producer of each read: the last write or group-leading event at
+        # or before it.  A write produces its own kernel; a group-leading
+        # read resolves the word against the persistent shadow — once per
+        # word — and every read up to the word's first write shares it
+        last = np.maximum.accumulate(np.where(iw | gs, np.arange(m), 0))
+        src = k1.copy()
+        lead = np.flatnonzero(gs & ~iw)
+        mixed = None
+        if lead.size:
+            mat = self.shadow.gather_words(w[lead])
             unif = (mat == mat[:, :1]).all(axis=1)
-            prod[pers] = np.where(unif, mat[:, 0].astype(np.int64), -1)
+            src[lead] = np.where(unif, mat[:, 0], 0)
             if not unif.all():
-                nu = ~unif
-                self._persistent_mixed(pw[nu], mat[nu], k[pers][nu],
-                                       nbo[pers][nu])
-
-        res = rd & (prod > 0)
-        if res.any():
-            self._accumulate_out(prod[res] - 1, k[res], np.full(res.sum(),
-                                 8, np.int64), nbo[res])
+                mixed = np.zeros(m, bool)
+                mixed[lead[~unif]] = True
+                mixed = mixed[last] & ~iw
+        prod = src[last]
+        rcnt = np.where(iw, 0, cnt)
+        if mixed is not None:
+            rcnt[mixed] = 0
+            self._persistent_mixed(np.repeat(w[mixed], cnt[mixed]),
+                                   np.repeat(k1[mixed], cnt[mixed]),
+                                   np.repeat(nb[mixed], cnt[mixed]))
+        self._accumulate_out(prod, k1, nb, 8, rcnt)
         if self.defer_unknown:
-            unk = rd & (prod == 0)
+            unk = (prod == 0) & (rcnt > 0)
             if unk.any():
-                self._defer_words(w[unk], k[unk], nbo[unk])
+                c = cnt[unk]
+                self._defer_words(np.repeat(w[unk], c),
+                                  np.repeat(k1[unk] - 1, c),
+                                  np.repeat(nb[unk], c))
 
-        self._mark_fast(w, k, iw, nbo)
+        self._mark_words(w, p)
 
-        # final shadow state: last write of each word group, whole word
-        ends = np.nonzero(np.append(gs[1:], True))[0]
-        fw = lastw[ends]
-        ok = fw >= gfirst[ends]
-        if ok.any():
-            self.shadow.set_words(w[ends][ok], k[fw[ok]] + 1)
+        # final shadow state: the last write of each word group
+        ends = last[np.append(np.flatnonzero(gs[1:]), m - 1)]
+        ends = ends[iw[ends]]
+        if ends.size:
+            self.shadow.set_words(w[ends], k1[ends])
 
-    def _accumulate_out(self, p: np.ndarray, c: np.ndarray,
-                        n_incl: np.ndarray, n_excl: np.ndarray) -> None:
+    def _accumulate_out(self, p1: np.ndarray, c1: np.ndarray,
+                        nb: np.ndarray, width: int,
+                        weights: np.ndarray | None = None) -> None:
         """Credit producers with consumed bytes and record bindings.
 
-        The (producer, consumer) key space is dense and tiny (interned
-        kernels squared), so a direct ``bincount`` over flattened pair ids
-        replaces a sort-based ``np.unique``."""
-        nk = self._nk
+        Each event consumes ``width`` bytes, ``nb`` of them below SP;
+        producer ``p1`` and consumer ``c1`` are +1-encoded and events with
+        ``p1 == 0`` (unknown producer) fall in a discarded row.  The
+        (producer, consumer, n_below) key space is dense and tiny, so one
+        ``bincount`` over flattened keys yields every column."""
+        nk1 = self._nk + 1
+        h = np.bincount((p1 * nk1 + c1) * 9 + nb, weights,
+                        minlength=nk1 * nk1 * 9)
+        h = h.reshape(nk1, nk1, 9)[1:, 1:].astype(np.int64)
+        n = h.sum(axis=2)
+        be = h @ _BYTES[:9]
         counts = self._counts
-        # packed weights (excl << 21 | incl): exact in the float64
-        # accumulator, one bincount pass for both columns
-        w = n_incl + (n_excl << 21)
+        counts[_OUT_INCL, :nk1 - 1] += n.sum(axis=1) * width
+        counts[_OUT_EXCL, :nk1 - 1] += be.sum(axis=1)
         if not self.track_bindings:
-            ws = np.bincount(p, weights=w,
-                             minlength=nk)[:nk].astype(np.int64)
-            counts[_OUT_INCL, :nk] += ws & ((1 << 21) - 1)
-            counts[_OUT_EXCL, :nk] += ws >> 21
             return
-        pair = p * nk + c
-        ws = np.bincount(pair, weights=w,
-                         minlength=nk * nk).astype(np.int64)
-        bi = ws & ((1 << 21) - 1)
-        be = ws >> 21
-        counts[_OUT_INCL, :nk] += bi.reshape(nk, nk).sum(axis=1)
-        counts[_OUT_EXCL, :nk] += be.reshape(nk, nk).sum(axis=1)
         bindings = self.kid_bindings
-        # every consumed byte has n_incl >= 1, so bi's support covers be's
-        for j in np.nonzero(bi)[0].tolist():
-            key = divmod(j, nk)
+        for pk, ck in zip(*np.nonzero(n)):
+            key = (int(pk), int(ck))
+            bi, bx = int(n[pk, ck]) * width, int(be[pk, ck])
             b = bindings.get(key)
             if b is None:
-                bindings[key] = [int(bi[j]), int(be[j])]
+                bindings[key] = [bi, bx]
             else:
-                b[0] += int(bi[j])
-                b[1] += int(be[j])
+                b[0] += bi
+                b[1] += bx
 
-    def _persistent_mixed(self, words: np.ndarray, mat: np.ndarray,
-                          cons: np.ndarray, nb: np.ndarray) -> None:
+    def _persistent_mixed(self, words: np.ndarray, cons1: np.ndarray,
+                          nb: np.ndarray) -> None:
         """Reads whose word has more than one persistent producer: expand
         to bytes (rare — only products of sub-word writes survive as mixed
         words)."""
         n = words.size
-        flat = mat.astype(np.int64).ravel()
+        flat = self.shadow.gather_words(words).astype(np.int64).ravel()
         byteix = np.tile(np.arange(8), n)
-        below = byteix < np.repeat(nb, 8)
-        cflat = np.repeat(cons, 8)
-        known = flat > 0
-        if known.any():
-            self._accumulate_out(flat[known] - 1, cflat[known],
-                                 np.ones(int(known.sum()), np.int64),
-                                 below[known].astype(np.int64))
-        if self.defer_unknown and not known.all():
-            unk = ~known
-            addrs = np.repeat(words << 3, 8)[unk] + byteix[unk]
-            self._defer_bytes(addrs, cflat[unk], below[unk])
+        below = (byteix < np.repeat(nb, 8)).astype(np.int64)
+        cflat = np.repeat(cons1, 8)
+        self._accumulate_out(flat, cflat, below, 1)
+        if self.defer_unknown:
+            unk = flat == 0
+            if unk.any():
+                addrs = np.repeat(words << 3, 8)[unk] + byteix[unk]
+                self._defer_bytes(addrs, cflat[unk] - 1, below[unk])
 
     def _defer_words(self, words: np.ndarray, cons: np.ndarray,
                      nb: np.ndarray) -> None:
@@ -734,34 +809,32 @@ class PagedQuadSink:
             if be:
                 d[1] += 1
 
-    def _mark_fast(self, w: np.ndarray, k: np.ndarray, iw: np.ndarray,
-                   nbo: np.ndarray) -> None:
-        """UnMA marking for full-word events.  The incl views take whole
-        words; the excl views take whole words when all 8 bytes sit under
-        SP and fall back to byte marks for SP-straddling words.
+    def _mark_words(self, w: np.ndarray, p: np.ndarray) -> None:
+        """UnMA marking for full-word events (``p``: their payloads).  The
+        incl views take whole words; the excl views take whole words when
+        all 8 bytes sit under SP and fall back to byte marks for
+        SP-straddling words.
 
         All kernels and views mark through one plane-keyed scatter each —
         the plane id ``kid * 4 + view`` moves the per-kernel dispatch into
         the index arithmetic."""
-        planes = (k << 2) + np.where(iw, _V_OUT_INCL, _V_IN_INCL)
-        if w.size > 1:
-            # marking is idempotent and ``w`` arrives sorted, so hot
-            # words repeat in adjacent runs: collapse duplicates before
-            # paying the scatters (nbo joins the key — the excl view
-            # depends on it)
-            keep = np.empty(w.size, bool)
-            keep[0] = True
-            keep[1:] = ((w[1:] != w[:-1]) | (planes[1:] != planes[:-1])
-                        | (nbo[1:] != nbo[:-1]))
-            if not keep.all():
-                w, planes, nbo = w[keep], planes[keep], nbo[keep]
+        if w.size > 2:
+            # runs are already collapsed, but a word's events often
+            # alternate (read, write, read, ...): marking is idempotent,
+            # so drop events equal to the one two places back as well
+            keep = np.ones(w.size, bool)
+            keep[2:] = (w[2:] != w[:-2]) | (p[2:] != p[:-2])
+            w, p = w[keep], p[keep]
+        k1 = p >> 10
+        nb = p & 15
+        planes = ((k1 - 1) << 2) + np.where(p & 16, _V_OUT_INCL, _V_IN_INCL)
         self._unma.mark_words(planes, w)
-        ex = nbo == 8
+        ex = nb == 8
         if ex.any():
             self._unma.mark_words(planes[ex] + 1, w[ex])
-        straddle = (nbo > 0) & ~ex
+        straddle = (nb > 0) & ~ex
         if straddle.any():
-            nn = nbo[straddle]
+            nn = nb[straddle]
             addrs = np.repeat(w[straddle] << 3, nn) + _concat_aranges(nn)
             self._unma.mark_bytes(np.repeat(planes[straddle] + 1, nn),
                                   addrs)
@@ -772,15 +845,14 @@ class PagedQuadSink:
         """Exact per-byte pipeline for sub-word/misaligned accesses and the
         word accesses colliding with them.
 
-        The same sorted group-scan as :meth:`_drain_fast`, but with one
-        event per *byte* instead of per word — byte-granular persistent
+        A sorted group-scan like :meth:`_drain_words`, but with one event
+        per *byte* instead of per word — byte-granular persistent
         lookups need no uniformity test, so this handles mixed-producer
         words exactly."""
         n = a.size
         if not n:
             return
         ad = np.repeat(a, size) + _concat_aranges(size)
-        sq = np.repeat(np.arange(n), size)
         kd = np.repeat(kid, size)
         iw = np.repeat(isw, size)
         bl = ad < np.repeat(sp, size)
@@ -802,11 +874,9 @@ class PagedQuadSink:
         if pers.any():
             prod[pers] = self.shadow.gather_bytes(ad[pers])
 
-        res = rd & (prod > 0)
-        if res.any():
-            self._accumulate_out(prod[res] - 1, kd[res],
-                                 np.ones(int(res.sum()), np.int64),
-                                 bl[res].astype(np.int64))
+        if rd.any():
+            self._accumulate_out(prod[rd], kd[rd] + 1,
+                                 bl[rd].astype(np.int64), 1)
         if self.defer_unknown:
             unk = rd & (prod == 0)
             if unk.any():

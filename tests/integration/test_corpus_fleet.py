@@ -308,6 +308,9 @@ class TestCorpusCli:
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("name") == f"fleet:{ENTRY}" for e in events)
         assert any(e.get("name") == f"capture:{ENTRY}" for e in events)
+        # the QUAD replay drain shows in the trace, not only live flushes
+        assert any(e.get("name") == "drain" and e.get("cat") == "quad"
+                   and e["args"]["records"] > 0 for e in events)
 
 
 class TestCommittedGolden:

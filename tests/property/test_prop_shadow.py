@@ -8,20 +8,38 @@ SP movement (including accesses straddling the stack pointer) and
 mid-stream drains, then compares every Table II counter, UnMA cardinality
 and binding.
 
-A second block checks `ShadowPages.snapshot` / `compose` — the primitives
+Those streams are short and drain at a tiny cap.  A second differential
+drives long *loop-shaped* streams through the sink at its default cap, so
+drains run at real batch sizes: a few hot words re-read many times (long
+runs that collapse), byte writes into words later read whole, and SP
+sweeping across the hot words.  Deterministic cases pin the two branches
+such streams reach rarely: repeated reads of a mixed-producer persistent
+word, and repeated reads of an unknown producer with ``defer_unknown``.
+
+A last block checks `ShadowPages.snapshot` / `compose` — the primitives
 the parallel merge builds its composed pre-shard shadow from — against a
 plain dict model, including writer-id remapping.
+
+Budget: the long-stream example count is ``LONG_EXAMPLES`` (CI-sized);
+under ``TQUAD_NIGHTLY=1`` it is ``FUZZ_NIGHTLY_EXAMPLES``, as for the
+differential fuzzer.
 """
+
+import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.quad.shadow import (PAGE, PagedQuadSink, ShadowPages,
-                               make_raw_recorder)
+from repro.quad.shadow import (DEFAULT_RAW_CAP, PAGE, PagedQuadSink,
+                               ShadowPages, make_raw_recorder)
 from repro.quad.tracker import QuadTool, unma_card
 from repro.vm.program import MAIN_IMAGE
 
 _NAMES = ["alpha", "beta", "gamma"]
+
+NIGHTLY = os.environ.get("TQUAD_NIGHTLY", "") == "1"
+LONG_EXAMPLES = (int(os.environ.get("FUZZ_NIGHTLY_EXAMPLES", "200"))
+                 if NIGHTLY else 6)
 
 
 @st.composite
@@ -52,12 +70,13 @@ def access_streams(draw):
     return events
 
 
-def _replay(events, shadow: str):
+def _replay(events, shadow: str, cap: int = 24):
     """Drive one QuadTool variant over the stream, engine-free."""
     tool = QuadTool(shadow=shadow)
     if shadow == "paged":
-        # mirror attach(), with a small cap to force frequent drains
-        tool.sink = PagedQuadSink(tool.callstack, cap=24)
+        # mirror attach(), by default with a small cap to force frequent
+        # drains
+        tool.sink = PagedQuadSink(tool.callstack, cap=cap)
         on_read = make_raw_recorder(tool.sink, write=False)
         on_write = make_raw_recorder(tool.sink, write=True)
     else:
@@ -136,6 +155,144 @@ class TestPagedLegacyDifferential:
         assert got[1] == fresh[1]
         # previously extracted references stayed frozen
         assert frozen is not tool.kernels
+
+
+@st.composite
+def loop_streams(draw):
+    """A long stream: one loop body of kernel transitions and accesses,
+    iterated until the stream holds ~20k accesses, one more than the
+    default cap, or ~300k.
+
+    A prologue writes every word the loop touches.  Accesses target a
+    few hot words (fixed addresses, re-read every iteration), a swept
+    array (address moves with the iteration) or a byte inside a hot word;
+    SP is fixed high, fixed inside the hot words, or sweeps across them
+    with the iteration.
+    """
+    base = draw(st.sampled_from([64, PAGE - 24]))
+    hot = [base + 8 * i for i in range(draw(st.integers(2, 5)))]
+    span = draw(st.integers(1, 64))
+    sp_mode = draw(st.sampled_from(["high", "inside", "sweep"]))
+    body = [("enter", draw(st.sampled_from(_NAMES)))]
+    for _ in range(draw(st.integers(3, 14))):
+        kind = draw(st.sampled_from(
+            ["read", "read", "read", "write", "write", "byte",
+             "enter", "ret"]))
+        if kind == "enter":
+            body.append(("enter", draw(st.sampled_from(_NAMES))))
+        elif kind == "ret":
+            body.append(("ret",))
+        elif kind == "byte":
+            body.append(("write", "byte", draw(st.sampled_from(hot)),
+                         draw(st.integers(0, 7))))
+        else:
+            target = draw(st.sampled_from(["hot", "hot", "sweep"]))
+            where = (draw(st.sampled_from(hot)) if target == "hot"
+                     else draw(st.integers(1, 3)))
+            body.append((kind, target, where, 0))
+    body.append(("ret",))
+    # enough accesses for one or more full-cap drains, not just a tail
+    accesses = sum(op[0] in ("read", "write") for op in body)
+    total = draw(st.sampled_from([20_000, DEFAULT_RAW_CAP + 1, 300_000]))
+    iterations = -(-total // max(accesses, 1))
+
+    # a prologue produces every hot and swept word, so the loop's reads
+    # resolve to producers, in its own drain or the persistent shadow
+    events = [("enter", draw(st.sampled_from(_NAMES)))]
+    events += [("write", ea, 8, 1 << 30)
+               for ea in hot + [base + 512 + 8 * j for j in range(span)]]
+    events.append(("ret",))
+    for i in range(iterations):
+        if sp_mode == "high":
+            sp = 1 << 30
+        elif sp_mode == "inside":
+            sp = hot[1] + 3
+        else:
+            sp = base + (3 * i) % (8 * len(hot) + 8)
+        for op in body:
+            if op[0] in ("enter", "ret"):
+                events.append(op)
+                continue
+            kind, target, where, off = op
+            if target == "byte":
+                events.append((kind, where + off, 1, sp))
+            elif target == "hot":
+                events.append((kind, where, 8, sp))
+            else:
+                ea = base + 512 + 8 * ((i * where) % span)
+                events.append((kind, ea, 8, sp))
+    return events
+
+
+class TestLongStreams:
+    @given(loop_streams())
+    @settings(max_examples=LONG_EXAMPLES, deadline=None)
+    def test_default_cap_byte_identical_to_legacy(self, events):
+        assert (_replay(events, "paged", cap=DEFAULT_RAW_CAP)
+                == _replay(events, "legacy"))
+
+    def test_repeated_reads_of_mixed_persistent_word(self, monkeypatch):
+        """A run of whole-word reads of a word whose persistent bytes
+        have two producers: the run collapses to one event, and the byte
+        expansion must still credit every read."""
+        seen = []
+        real = PagedQuadSink._persistent_mixed
+
+        def spy(self, words, cons1, nb):
+            seen.append(words.size)
+            return real(self, words, cons1, nb)
+
+        monkeypatch.setattr(PagedQuadSink, "_persistent_mixed", spy)
+        high = 1 << 30
+        events = [("enter", "alpha"), ("write", 128, 8, high),
+                  ("enter", "beta"), ("write", 131, 1, high),
+                  ("flush",), ("enter", "gamma")]
+        events += [("read", 128, 8, 132)] * 50
+        events += [("ret",), ("ret",), ("ret",)]
+        assert _replay(events, "paged") == _replay(events, "legacy")
+        assert sum(seen) == 50
+
+    @staticmethod
+    def _deferred(records):
+        """Drain ``records`` (kernel, addr, size, is_write, sp) through a
+        deferring sink; return its deferred columns by consumer name."""
+        tool = QuadTool()
+        sink = PagedQuadSink(tool.callstack)
+        sink.defer_unknown = True
+        on = {False: make_raw_recorder(sink, write=False),
+              True: make_raw_recorder(sink, write=True)}
+        for name, ea, size, write, sp in records:
+            if name is None:
+                sink.flush()
+                continue
+            tool.callstack.enter(name, MAIN_IMAGE)
+            on[write](ea, size, sp)
+            tool.callstack.on_ret()
+        sink.flush()
+        names = tool.callstack.interned_names
+        return {names[cid]: {int(a): (int(i), int(e))
+                             for a, i, e in zip(*cols)}
+                for cid, cols in sink.deferred_columns().items()}, sink
+
+    def test_repeated_reads_of_unknown_producer_are_deferred(self):
+        """Forty reads of a never-written word (SP inside it: 5 bytes
+        below) defer 40 incl / 40 excl counts to bytes 0-4 and 40 incl to
+        bytes 5-7, with no binding."""
+        got, sink = self._deferred([("beta", 256, 8, False, 261)] * 40)
+        assert got == {"beta": {256 + b: (40, 40 if b < 5 else 0)
+                                for b in range(8)}}
+        assert sink.kid_bindings == {}
+
+    def test_repeated_reads_of_partly_unknown_mixed_word(self):
+        """A byte write leaves one known producer in an otherwise
+        never-written word; thirty later whole-word reads bind that byte
+        and defer the other seven."""
+        got, sink = self._deferred(
+            [("alpha", 258, 1, True, 1 << 30), (None,) * 5]
+            + [("gamma", 256, 8, False, 1 << 30)] * 30)
+        assert got == {"gamma": {256 + b: (30, 30)
+                                 for b in range(8) if b != 2}}
+        assert sink.kid_bindings == {(0, 1): [30, 30]}
 
 
 class TestSnapshotCompose:

@@ -19,8 +19,10 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
                            capture_run, check_program, make_manifest,
                            merge_capture_segments, program_digest,
-                           replay_gprof, replay_quad, replay_tquad)
+                           replay_gprof, replay_many, replay_quad,
+                           replay_tquad)
 from repro.capture.format import RECORDER_LAYOUT, decode_page, encode_page
+from repro.cli import main
 from repro.core import TQuadOptions, TQuadTool, profile_passes, run_tquad
 from repro.core.options import StackPolicy
 from repro.gprofsim import run_gprof
@@ -266,6 +268,72 @@ class TestReplayValidation:
         p2 = build_program(APP.replace("i * 3", "i * 4"))
         assert program_digest(p1) == program_digest(build_program(APP))
         assert program_digest(p1) != program_digest(p2)
+
+
+def _quad_record(kid: int, size: int, write: bool, ea: int) -> int:
+    """One packed ``quad.raw`` record (see :mod:`repro.quad.shadow`)."""
+    return ((kid + 1) << 43) | (size << 38) | (int(write) << 37) | ea
+
+
+class TestForgedQuadRecords:
+    """Kernel ids and widths in ``quad.raw`` come from disk: a record the
+    interned-kernel table or the ISA cannot have is a format error, never
+    a silently different report or a numpy crash."""
+
+    KERNELS = ["a", "b"]
+    #: SP marker, then ``a`` writes a word that ``b`` reads back.
+    GOOD = [-1 - 4096, _quad_record(0, 8, True, 64),
+            _quad_record(1, 8, False, 64)]
+
+    def _write(self, dest, records, program_sha="ab" * 32):
+        w = CaptureWriter(dest)
+        w.add(STREAM_QUAD, np.array(self.GOOD + records, np.int64)
+              .tobytes())
+        w.finalize(make_manifest(
+            program_sha=program_sha, label="", grain=10, stack="both",
+            exclude_libraries=False, total_instructions=100, exit_code=0,
+            images={}, kernels=[], mem_size=1 << 16, tools=("quad",),
+            quad_kernels=self.KERNELS))
+
+    def _reader(self, records):
+        buf = io.BytesIO()
+        self._write(buf, records)
+        buf.seek(0)
+        return CaptureReader(buf)
+
+    def test_well_formed_stream_replays(self):
+        with self._reader([]) as reader:
+            report = replay_quad(reader)
+        a, b = report.kernels["a"], report.kernels["b"]
+        assert (a.writes, a.out_bytes_incl) == (1, 8)
+        assert (b.reads, b.in_bytes_incl) == (1, 8)
+        assert report.bindings == {("a", "b"): [8, 8]}
+
+    @pytest.mark.parametrize("record", [
+        _quad_record(2, 8, True, 72),       # one past the intern table
+        _quad_record(5, 8, False, 64),      # far past it
+        _quad_record(0, 0, False, 64),      # zero-width access
+        _quad_record(1, 31, False, 64),     # wider than any ISA access
+        _quad_record(1, 3, False, 64),      # not an ISA width
+    ], ids=["kid2", "kid5", "width0", "width31", "width3"])
+    def test_forged_record_is_a_format_error(self, record):
+        with self._reader([record]) as reader:
+            with pytest.raises(CaptureFormatError, match="forged"):
+                replay_quad(reader)
+        with self._reader([record]) as reader:
+            with pytest.raises(CaptureFormatError, match="forged"):
+                replay_many(reader, tools=("quad",))
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "app.mc"
+        src.write_text(APP)
+        path = tmp_path / "forged.capture"
+        self._write(str(path), [_quad_record(2, 8, True, 72)],
+                    program_sha=program_digest(build_program(APP)))
+        rc = main(["profile", str(src), "--tool", "quad",
+                   "--from-capture", str(path)])
+        assert rc == 2
+        assert "forged QUAD record" in capsys.readouterr().err
 
 
 class TestToolGuards:

@@ -212,3 +212,42 @@ class TestSummaryTable:
         tele.count("shards", 3)
         tele.gauge("pages", 9)
         return tele
+
+
+class TestQuadDrainTelemetry:
+    """Live flushes and capture replays both account their QUAD drains:
+    one ``drain`` span and one ``quad/records_drained`` count per flush,
+    and per replayed stream."""
+
+    APP = """
+    int a[256];
+    int fill() { int i; for (i = 0; i < 256; i++) { a[i] = i; } return 0; }
+    int sum() { int i; int s = 0; for (i = 0; i < 256; i++) { s += a[i]; }
+                return s; }
+    int main() { fill(); return sum() & 7; }
+    """
+
+    def test_replay_drain_is_one_span_and_count(self):
+        import io
+
+        from repro.capture import (STREAM_QUAD, CaptureReader, capture_run,
+                                   replay_quad)
+        from repro.minic import build_program
+
+        buf = io.BytesIO()
+        capture_run(build_program(self.APP), buf, tools=("quad",))
+        buf.seek(0)
+        reader = CaptureReader(buf)
+        records = sum(page.size for page in reader.pages(STREAM_QUAD))
+        assert records
+        obs.reset()
+        try:
+            tele = obs.enable()
+            replay_quad(reader)
+            drains = [e for e in tele.events if e[0] == "drain"]
+            assert [(e[1], e[5]) for e in drains] == [
+                ("quad", {"records": records})]
+            assert tele.counters["quad/records_drained"] == records
+        finally:
+            obs.disable()
+            obs.reset()
