@@ -25,6 +25,7 @@ from repro.apps.wfs import TINY, build_wfs_program, make_workspace
 from repro.capture import CaptureReader, capture_run, replay_tquad
 from repro.core import TQuadOptions, profile_passes, run_tquad
 from repro.serialize import tquad_to_json
+from tests.reference.multipass import reexecute_passes
 
 #: The multipass sweep (grain = gcd = 500; a realistic Table IV ladder).
 INTERVALS = [500, 1000, 2000, 4000]
@@ -78,7 +79,7 @@ def test_capture_replay(benchmark, outdir):
 
     t0 = time.perf_counter()
     legacy = benchmark.pedantic(
-        lambda: profile_passes(build, INTERVALS, reexecute=True),
+        lambda: reexecute_passes(build, INTERVALS),
         rounds=1, iterations=1)
     t_legacy = time.perf_counter() - t0
 

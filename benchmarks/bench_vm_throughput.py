@@ -2,11 +2,12 @@
 
 Measures guest instructions/second for the bare VM and for instrumented
 engines, on both execution tiers (fused superblocks vs per-instruction
-closures) and both tQUAD analysis paths (buffered recording vs legacy
-per-event).  The per-instruction + legacy configurations reproduce the
-original seed numbers; the fused + buffered configurations are the
-optimized defaults and must hold a ≥3× (bare) / ≥2× (engine+tQUAD)
-speedup over them.  Results land in ``vm_throughput.txt`` (human) and
+closures) and both tQUAD analysis paths (buffered recording vs the
+paper's per-event routine, the oracle in ``tests/reference/tquad.py``,
+labelled "legacy" below).  The per-instruction + legacy configurations
+reproduce the original seed numbers; the fused + buffered configurations
+are the optimized defaults and must hold a ≥3× (bare) / ≥2×
+(engine+tQUAD) speedup over them.  Results land in ``vm_throughput.txt`` (human) and
 ``BENCH_vm_throughput.json`` (machine-readable, tracked across PRs).
 """
 
@@ -18,6 +19,7 @@ from repro.apps.kernels import build_fir
 from repro.core import TQuadOptions, TQuadTool
 from repro.pin import PinEngine
 from repro.vm import Machine
+from tests.reference.tquad import PerEventTQuadTool
 
 
 def _ips_bare(program, jit):
@@ -29,8 +31,8 @@ def _ips_bare(program, jit):
 def _ips_engine(program, *, jit, tool, buffered=True):
     engine = PinEngine(program, jit=jit)
     if tool:
-        TQuadTool(TQuadOptions(slice_interval=10_000),
-                  buffered=buffered).attach(engine)
+        cls = TQuadTool if buffered else PerEventTQuadTool
+        cls(TQuadOptions(slice_interval=10_000)).attach(engine)
     engine.run()
     return engine.machine.icount
 

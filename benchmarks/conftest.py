@@ -10,6 +10,7 @@ micro-benchmarks.
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
@@ -18,6 +19,10 @@ from repro.core import TQuadOptions, run_tquad
 from repro.gprofsim import run_gprof
 from repro.pin import PinEngine
 from repro.quad import QuadTool
+
+# The throughput gates time the production tools against the oracles of
+# the test tree (tests/reference/), so the repo root must be importable.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 #: The 21 kernels of the paper's Tables I–IV.
 PAPER_KERNELS = [

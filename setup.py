@@ -21,6 +21,6 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro.apps": ["**/*.mc", "**/*.s", "wfs/*.mc"]},
     include_package_data=True,
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["tquad=repro.cli:main"]},
 )

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..core.kernel_phases import KernelPhaseAnalysis
 from ..quad.report import QuadReport
 
@@ -52,8 +50,17 @@ class ClusteringResult:
 
 def _communication_graph(quad: QuadReport, *,
                          include_stack: bool,
-                         phases: KernelPhaseAnalysis | None) -> nx.Graph:
-    g = nx.Graph()
+                         phases: KernelPhaseAnalysis | None
+                         ) -> tuple[dict[str, None],
+                                    dict[frozenset[str], int]]:
+    """Undirected communication graph as ``(nodes, weights)``.
+
+    ``nodes`` is an insertion-ordered set: each endpoint in the order its
+    first edge appears, producer before consumer.  ``weights`` maps each
+    unordered kernel pair to its summed bytes, both directions folded.
+    """
+    nodes: dict[str, None] = {}
+    weights: dict[frozenset[str], int] = {}
     idx = 0 if include_stack else 1
     for (producer, consumer), counts in quad.bindings.items():
         if producer == consumer:
@@ -68,11 +75,11 @@ def _communication_graph(quad: QuadReport, *,
                 # communication across phases cannot be overlapped in one
                 # reconfigurable region; halve its clustering pull
                 w = w // 2
-        if g.has_edge(producer, consumer):
-            g[producer][consumer]["weight"] += w
-        else:
-            g.add_edge(producer, consumer, weight=w)
-    return g
+        nodes.setdefault(producer)
+        nodes.setdefault(consumer)
+        pair = frozenset((producer, consumer))
+        weights[pair] = weights.get(pair, 0) + w
+    return nodes, weights
 
 
 def cluster_kernels(quad: QuadReport, *, n_clusters: int = 4,
@@ -83,18 +90,24 @@ def cluster_kernels(quad: QuadReport, *, n_clusters: int = 4,
     clusters joined by the heaviest communication edge."""
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
-    g = _communication_graph(quad, include_stack=include_stack,
-                             phases=phases)
+    nodes, weights = _communication_graph(quad, include_stack=include_stack,
+                                          phases=phases)
     for name in quad.kernel_names(main_image_only=main_image_only):
-        if name not in g:
-            g.add_node(name)
+        nodes.setdefault(name)
     if main_image_only:
-        for n in [n for n in g.nodes
-                  if quad.images.get(n, "main") != "main"]:
-            g.remove_node(n)
-    total = sum(d["weight"] for _, _, d in g.edges(data=True))
+        nodes = {n: None for n in nodes
+                 if quad.images.get(n, "main") == "main"}
+        weights = {pair: w for pair, w in weights.items()
+                   if pair <= nodes.keys()}
+    # Heaviest edge first.  Equal weights go in adjacency order: grouped
+    # under whichever endpoint entered the graph first, first-added first
+    # within a group (the sort is stable).
+    pos = {n: i for i, n in enumerate(nodes)}
+    edges = sorted(weights.items(),
+                   key=lambda e: (-e[1], min(map(pos.get, e[0]))))
+    total = sum(weights.values())
     # union-find over kernels
-    parent = {n: n for n in g.nodes}
+    parent = {n: n for n in nodes}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -102,10 +115,8 @@ def cluster_kernels(quad: QuadReport, *, n_clusters: int = 4,
             x = parent[x]
         return x
 
-    edges = sorted(g.edges(data=True), key=lambda e: e[2]["weight"],
-                   reverse=True)
-    n_groups = g.number_of_nodes()
-    for u, v, _d in edges:
+    n_groups = len(nodes)
+    for (u, v), _w in edges:
         if n_groups <= n_clusters:
             break
         ru, rv = find(u), find(v)
@@ -113,18 +124,17 @@ def cluster_kernels(quad: QuadReport, *, n_clusters: int = 4,
             parent[ru] = rv
             n_groups -= 1
     groups: dict[str, set[str]] = {}
-    for n in g.nodes:
+    for n in nodes:
         groups.setdefault(find(n), set()).add(n)
     clusters = []
     cut = 0
     for members in groups.values():
-        internal = sum(d["weight"] for u, v, d in g.edges(data=True)
-                       if u in members and v in members)
+        internal = sum(w for pair, w in edges if pair <= members)
         clusters.append(Cluster(members=frozenset(members),
                                 internal_bytes=internal))
-    for u, v, d in g.edges(data=True):
+    for (u, v), w in edges:
         if find(u) != find(v):
-            cut += d["weight"]
+            cut += w
     clusters.sort(key=lambda c: c.internal_bytes, reverse=True)
     return ClusteringResult(clusters=clusters, cut_bytes=cut,
                             total_bytes=total)

@@ -27,7 +27,8 @@ import numpy as np
 from ..core.options import StackPolicy, TQuadOptions
 from ..core.report import TQuadReport
 from ..obs import TELEMETRY
-from .format import STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, require_tool
+from .format import (STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, check_table_ids,
+                     require_tool)
 from .reader import CaptureReader, StreamingCursor
 from .replay import _resolve_tquad_options
 from .streaming import MemBudget, SortedTableAcc, SpillPool, sample_mask
@@ -212,6 +213,7 @@ def approx_replay_tquad(reader: CaptureReader,
                     lib = kid < -1
                 if lib.any():
                     kid = np.where(lib, -2 - kid, kid)
+                check_table_ids(kid, len(names), f"{stream} kernel")
                 incl = (np.zeros_like(kid) if excl_only
                         else page[:, 1])
                 excl = (np.zeros_like(kid) if zero_excl

@@ -111,6 +111,82 @@ def decode_page(blob: bytes, stride: int) -> np.ndarray:
     return np.cumsum(arr, axis=0, dtype=np.int64)
 
 
+# ------------------------------------------------------ manifest checks
+def _forged(what: str):
+    raise CaptureFormatError(f"forged capture manifest: {what}")
+
+
+def validate_manifest(manifest: dict[str, Any], members: set[str]) -> None:
+    """Reject manifest fields the replays would divide by or index with.
+
+    Checked once, when a reader opens the capture:
+
+    * the stream directory — every stream is a known one at its fixed
+      stride, its page and row counts are non-negative ints, and every
+      page it lists is a member of the container (``members``);
+    * the recording options — a positive ``grain`` and a known ``stack``
+      policy;
+    * the shapes of the name tables — ``kernels`` and ``quad_kernels``
+      are lists of names, ``routines`` a list of ``[name, image]`` pairs.
+
+    Ids *into* the tables are range-checked where replay indexes them.
+    """
+    from ..core.options import StackPolicy
+
+    streams = manifest.get("streams", {})
+    if not isinstance(streams, dict):
+        _forged("the stream directory is not a mapping")
+    for name, info in streams.items():
+        stride = STREAM_STRIDES.get(name)
+        if stride is None:
+            _forged(f"unknown stream {name!r}")
+        if not isinstance(info, dict):
+            _forged(f"stream {name!r} has no directory entry")
+        got = info.get("stride")
+        if type(got) is not int or got != stride:
+            _forged(f"stream {name!r} stride {got!r} (expected {stride})")
+        for key in ("pages", "rows"):
+            value = info.get(key)
+            if type(value) is not int or value < 0:
+                _forged(f"stream {name!r} {key} {value!r}")
+        n_pages = info["pages"]
+        if n_pages > len(members) or any(
+                page_name(name, i) not in members for i in range(n_pages)):
+            _forged(f"stream {name!r} lists {n_pages} pages, more than "
+                    f"the container holds")
+    options = manifest.get("options")
+    if not isinstance(options, dict):
+        _forged("no recording options")
+    grain = options.get("grain")
+    if type(grain) is not int or grain < 1:
+        _forged(f"grain {grain!r} (must be a positive instruction count)")
+    if options.get("stack") not in {p.value for p in StackPolicy}:
+        _forged(f"stack policy {options.get('stack')!r}")
+    for key in ("kernels", "quad_kernels"):
+        table = manifest.get(key, [])
+        if not (isinstance(table, list)
+                and all(isinstance(n, str) for n in table)):
+            _forged(f"{key} is not a list of names")
+    routines = manifest.get("routines", [])
+    if not (isinstance(routines, list)
+            and all(isinstance(r, list) and len(r) == 2
+                    and all(isinstance(x, str) for x in r)
+                    for r in routines)):
+        _forged("routines is not a list of [name, image] pairs")
+
+
+def check_table_ids(ids: np.ndarray, size: int, what: str) -> None:
+    """Reject ids past a ``size``-entry manifest table: one ``max``.
+
+    ``ids`` must already be folded to ``>= -1`` (-1: no entry)."""
+    if ids.size:
+        top = int(ids.max())
+        if top >= size:
+            raise CaptureFormatError(
+                f"forged {what}: id {top} outside the {size}-entry "
+                f"table")
+
+
 # ----------------------------------------------------------- run identity
 def program_digest(program) -> str:
     """A stable content hash of a guest binary (code, data, routine

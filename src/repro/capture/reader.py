@@ -12,16 +12,39 @@ import numpy as np
 
 from .format import (CAPTURE_VERSION, CaptureFormatError,
                      CaptureMismatchError, MANIFEST_NAME, decode_page,
-                     page_name)
+                     page_name, validate_manifest)
+
+
+def _read_manifest(zf: zipfile.ZipFile) -> dict[str, Any]:
+    """Parse and validate the manifest of an open capture container."""
+    try:
+        manifest = json.loads(zf.read(MANIFEST_NAME))
+    except KeyError:
+        raise CaptureFormatError(
+            "not a capture file (no manifest — truncated or foreign "
+            "archive)") from None
+    except (json.JSONDecodeError, zipfile.BadZipFile) as exc:
+        raise CaptureFormatError(
+            f"corrupt capture manifest: {exc}") from None
+    if manifest.get("kind") != "capture":
+        raise CaptureFormatError("not a capture file (wrong kind)")
+    if manifest.get("format") != CAPTURE_VERSION:
+        raise CaptureFormatError(
+            f"unsupported capture format version "
+            f"{manifest.get('format')!r} "
+            f"(this build reads version {CAPTURE_VERSION})")
+    validate_manifest(manifest, set(zf.namelist()))
+    return manifest
 
 
 class CaptureReader:
     """Random access to a capture's manifest and page streams.
 
-    The manifest is parsed and validated exactly once, at construction,
-    and the ZIP handle stays open for the reader's lifetime — replaying
-    the same reader many times (multipass, sweeps) re-reads pages, never
-    re-validates the container.
+    The manifest is parsed and validated exactly once, at construction
+    (:func:`~repro.capture.format.validate_manifest`), and the ZIP handle
+    stays open for the reader's lifetime — replaying the same reader many
+    times (multipass, sweeps) re-reads pages, never re-validates the
+    container.
 
     Pages decode lazily — :meth:`pages` yields one ``(rows, stride)``
     array at a time so replays stay bounded in memory even for long
@@ -53,22 +76,10 @@ class CaptureReader:
             raise CaptureFormatError(
                 f"not a capture file (bad container): {exc}") from None
         try:
-            raw = self._zf.read(MANIFEST_NAME)
-            self.manifest: dict[str, Any] = json.loads(raw)
-        except KeyError:
-            raise CaptureFormatError(
-                "not a capture file (no manifest — truncated or foreign "
-                "archive)") from None
-        except (json.JSONDecodeError, zipfile.BadZipFile) as exc:
-            raise CaptureFormatError(
-                f"corrupt capture manifest: {exc}") from None
-        if self.manifest.get("kind") != "capture":
-            raise CaptureFormatError("not a capture file (wrong kind)")
-        if self.manifest.get("format") != CAPTURE_VERSION:
-            raise CaptureFormatError(
-                f"unsupported capture format version "
-                f"{self.manifest.get('format')!r} "
-                f"(this build reads version {CAPTURE_VERSION})")
+            self.manifest: dict[str, Any] = _read_manifest(self._zf)
+        except CaptureFormatError:
+            self._zf.close()
+            raise
         self.cache_pages = cache_pages
         self._page_cache: dict[tuple[str, int], np.ndarray] = {}
         self.stats: dict[str, int] = {"decoded_pages": 0,

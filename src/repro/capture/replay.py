@@ -35,8 +35,8 @@ from ..core.report import TQuadReport
 from ..gprofsim.report import FlatProfile, FlatRow
 from ..obs import TELEMETRY
 from .format import (CaptureMismatchError, STREAM_CALLS, STREAM_QUAD,
-                     STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, library_rows_of,
-                     require_tool)
+                     STREAM_TQUAD_READ, STREAM_TQUAD_WRITE, check_table_ids,
+                     library_rows_of, require_tool)
 from .reader import CaptureReader, PageLRU, StreamingCursor
 from .streaming import MemBudget
 
@@ -136,6 +136,7 @@ def replay_tquad(reader: CaptureReader,
                     lib = kid < -1
                 if lib.any():
                     kid = np.where(lib, -2 - kid, kid)
+                check_table_ids(kid, len(names), f"{stream} kernel")
                 ic = page[:, 0]
                 incl = np.zeros_like(kid) if excl_only else page[:, 1]
                 excl = np.zeros_like(kid) if zero_excl else page[:, 2]
@@ -314,6 +315,7 @@ def replay_gprof(reader: CaptureReader, *, main_image_only: bool = True,
         if bad.any():
             keep = ~bad
             raw, rid, entry = raw[keep], rid[keep], entry[keep]
+        check_table_ids(rid, len(routines), "calls routine")
         if raw.size:
             # routines may alias names; charge by first name id, the
             # way the sequential walk's name-keyed dicts collapse them

@@ -38,7 +38,7 @@ from .gprofsim import run_gprof
 from .isa import disassemble
 from .minic import build_program
 from .pin import PinEngine
-from .quad import QuadTool, run_quad
+from .quad import run_quad
 from .vm import run_program
 
 
@@ -66,8 +66,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         return _bad_usage("--jobs must be >= 1")
     if getattr(args, "deadline", 1.0) <= 0:
         return _bad_usage("--deadline must be a positive number of seconds")
-    if getattr(args, "shadow", "paged") not in ("paged", "legacy"):
-        return _bad_usage("--shadow must be 'paged' or 'legacy'")
     if (getattr(args, "stats", False)
             and getattr(args, "tool", "") != "quad"
             and not getattr(args, "from_capture", None)):
@@ -84,9 +82,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
         if getattr(args, "cache", False) or getattr(args, "imix", False):
             return _bad_usage("--cache/--imix re-execute the guest and "
                               "cannot be combined with --from-capture")
-        if getattr(args, "shadow", "paged") == "legacy":
-            return _bad_usage("--from-capture replays the paged shadow; "
-                              "--shadow legacy is not available")
         if getattr(args, "report", None):
             return _bad_usage("--report re-executes the guest and cannot "
                               "be combined with --from-capture")
@@ -96,9 +91,6 @@ def _validate_profile_args(args: argparse.Namespace) -> int | None:
             return _bad_usage("--capture-out with --jobs requires "
                               "--tool tquad (only tQUAD shards emit "
                               "capture segments)")
-        if getattr(args, "shadow", "paged") == "legacy":
-            return _bad_usage("--capture-out requires the paged shadow; "
-                              "drop --shadow legacy")
         if getattr(args, "report", None):
             return _bad_usage("--report cannot be combined with "
                               "--capture-out")
@@ -159,8 +151,7 @@ def _open_capture(path: str, program, label: str = "",
 def _parallel_capture(args: argparse.Namespace, program, options, *,
                       fs=None, label: str = ""):
     """``--capture-out`` with ``--jobs N``: shards record capture segments
-    that merge into one exact capture file; returns the tQUAD report (or
-    an ``int`` exit code)."""
+    that merge into one exact capture file."""
     from .capture import CaptureWriter, make_manifest, program_digest
     from .parallel import TQuadSpec, parallel_profile
 
@@ -182,8 +173,6 @@ def _parallel_capture(args: argparse.Namespace, program, options, *,
             prefetches_skipped=run.prefetches_skipped))
     finally:
         writer.close()
-    print(f"wrote {args.capture_out}", file=sys.stderr)
-    return run.reports["tquad"]
 
 
 def _captured_report(args: argparse.Namespace, program, options, *,
@@ -201,11 +190,11 @@ def _captured_report(args: argparse.Namespace, program, options, *,
     tool = getattr(args, "tool", "tquad")
     if getattr(args, "capture_out", None):
         if getattr(args, "jobs", 1) > 1:
-            return _parallel_capture(args, program, options, fs=fs,
-                                     label=label)
-        capture_run(program, args.capture_out, fs=fs, options=options,
-                    tools=(tool,), label=label,
-                    max_instructions=getattr(args, "budget", None))
+            _parallel_capture(args, program, options, fs=fs, label=label)
+        else:
+            capture_run(program, args.capture_out, fs=fs, options=options,
+                        tools=(tool,), label=label,
+                        max_instructions=getattr(args, "budget", None))
         print(f"wrote {args.capture_out}", file=sys.stderr)
         source = args.capture_out
     else:
@@ -297,7 +286,7 @@ def _profile_body(args: argparse.Namespace, program) -> int:
                                parallel_profile)
 
         spec = {"tquad": lambda: TQuadSpec(options=options),
-                "quad": lambda: QuadSpec(shadow=args.shadow),
+                "quad": QuadSpec,
                 "gprof": GprofSpec}[args.tool]()
         run = parallel_profile(program, spec, jobs=args.jobs,
                                deadline=args.deadline)
@@ -356,8 +345,7 @@ def _profile_body(args: argparse.Namespace, program) -> int:
     elif args.tool == "quad":
         report = (captured if captured is not None else
                   run.reports["quad"] if args.jobs > 1 else
-                  run_quad(program, max_instructions=args.budget,
-                           shadow=args.shadow))
+                  run_quad(program, max_instructions=args.budget))
         if args.json:
             from .serialize import quad_to_json
 
@@ -884,9 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --tool gprof: print the call-graph section")
     p.add_argument("--json", metavar="PATH",
                    help="also write the report as JSON")
-    p.add_argument("--shadow", default="paged", metavar="{paged,legacy}",
-                   help="with --tool quad: shadow memory implementation "
-                        "(default: paged)")
     p.add_argument("--stats", action="store_true",
                    help="with --tool quad: print shadow footprint stats")
     p.add_argument("--jobs", type=int, default=1,

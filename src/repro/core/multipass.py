@@ -10,13 +10,12 @@ and :class:`MultiPassResult` reports per-kernel averages with the spread
 across passes — when the spread is non-negligible, the rendered value
 carries the paper's ``<`` upper-bound marker.
 
-Since the capture backend (:mod:`repro.capture`) landed, the passes no
-longer re-execute the VM per interval: one instrumented run captures the
-access quads at the gcd of the requested intervals, and the whole ladder
-comes out of one :func:`repro.sweep.sweep_tquad` pass that decodes each
-captured page once (byte-identical to a direct run at each interval —
-the property tests assert this).  ``reexecute=True`` keeps the legacy
-one-VM-run-per-interval path for differential reference.
+The passes do not re-execute the VM per interval: one instrumented run
+captures the access quads at the gcd of the requested intervals, and the
+whole ladder comes out of one :func:`repro.sweep.sweep_tquad` pass that
+decodes each captured page once.  Each report is byte-identical to a
+direct run at its interval; the tests check this against a
+run-per-interval oracle (``tests/reference/multipass.py``).
 """
 
 from __future__ import annotations
@@ -138,35 +137,30 @@ class MultiPassResult:
 
 def profile_passes(build: Callable[[], tuple], intervals: list[int], *,
                    options: TQuadOptions | None = None,
-                   max_instructions: int | None = None,
-                   reexecute: bool = False) -> MultiPassResult:
+                   max_instructions: int | None = None) -> MultiPassResult:
     """Produce tQUAD reports for each of ``intervals``.
 
     ``build()`` must return a fresh ``(program, fs)`` pair per call (the
     machine is single-shot).  ``options`` provides the non-interval
-    settings.  By default the guest executes *once*, capturing at the gcd
-    of the intervals, and the whole ladder is one sweep-engine pass over
-    the capture; ``reexecute=True`` forces the legacy
-    one-run-per-interval path (also taken for a single interval, where a
-    capture buys nothing).  An empty ``intervals`` list, or any
+    settings.  The guest executes *once*, capturing at the gcd of the
+    intervals, and the whole ladder is one sweep-engine pass over the
+    capture; a single interval is one live run, where a capture buys
+    nothing.  An empty ``intervals`` list, or any
     non-positive interval, raises :class:`ValueError` before any run.
     """
     from ..sweep.grid import validate_intervals
 
     validate_intervals(intervals)
     base = options or TQuadOptions()
-    reports: dict[int, TQuadReport] = {}
-    if reexecute or len(set(intervals)) < 2:
-        for interval in intervals:
-            program, fs = build()
-            opts = TQuadOptions(slice_interval=interval, stack=base.stack,
-                                exclude_libraries=base.exclude_libraries,
-                                kernels=base.kernels)
-            engine = PinEngine(program, fs=fs)
-            tool = TQuadTool(opts).attach(engine)
-            engine.run(max_instructions=max_instructions)
-            reports[interval] = tool.report()
-        return MultiPassResult(reports=reports)
+    if len(set(intervals)) == 1:
+        program, fs = build()
+        opts = TQuadOptions(slice_interval=intervals[0], stack=base.stack,
+                            exclude_libraries=base.exclude_libraries,
+                            kernels=base.kernels)
+        engine = PinEngine(program, fs=fs)
+        tool = TQuadTool(opts).attach(engine)
+        engine.run(max_instructions=max_instructions)
+        return MultiPassResult(reports={intervals[0]: tool.report()})
 
     from ..capture import CaptureReader, capture_run, replay_many
     from ..sweep import SweepGrid

@@ -12,26 +12,21 @@ This module mirrors the paper's implementation section (§IV-C, Figures 3–5):
   at routine entries, passing the routine name and an image flag;
 * the analysis routines return immediately for prefetches.
 
-Two analysis implementations coexist:
-
-* the **buffered** path (default): memory accesses are recorded into flat
-  buffers and bulk-aggregated with NumPy at flush time
-  (:mod:`repro.core.recording`).  Inside superblocks the record append is
-  inlined into generated code — this is the fast path.
-* the **legacy** per-event path (``buffered=False``): one parameterized
-  analysis routine per direction, built by :meth:`_make_on_access`, doing
-  attribution work on every access exactly as the paper's pseudocode reads.
-  It is retained as the independent reference implementation that the
-  differential tests compare the buffered path against.
+The analysis routines do not attribute each access as the paper's
+pseudocode does: they append it to flat buffers that are bulk-aggregated
+with NumPy at flush time (:mod:`repro.core.recording`).  Inside
+superblocks the append is inlined into the generated code.  The paper's
+per-event ``IncreaseRead``/``IncreaseWrite`` routine survives as a test
+oracle (``tests/reference/tquad.py``) that the differential tests compare
+this tool against.
 """
 
 from __future__ import annotations
 
 from ..pin import IARG, INS, IPOINT, PinEngine, RTN
-from ..vm.program import MAIN_IMAGE
 from .callstack import CallStack
 from .ledger import BandwidthLedger
-from .options import StackPolicy, TQuadOptions
+from .options import TQuadOptions
 from .recording import CapturingRecordingSink, RecordingSink, make_recorder
 from .report import TQuadReport
 
@@ -41,22 +36,18 @@ class TQuadTool:
 
     With ``capture`` set (any page sink with ``add(stream, data)`` — a
     :class:`repro.capture.writer.CaptureWriter` or ``CaptureCollector``),
-    the buffered recording path also persists every sealed quad buffer,
-    enabling offline re-analysis via :mod:`repro.capture.replay`.
+    the recording sink also persists every sealed quad buffer, enabling
+    offline re-analysis via :mod:`repro.capture.replay`.
     """
 
     def __init__(self, options: TQuadOptions | None = None, *,
-                 buffered: bool = True, capture=None):
+                 capture=None):
         self.options = options or TQuadOptions()
-        self.buffered = buffered
         self.capture = capture
-        if capture is not None and not buffered:
-            raise ValueError("capture requires the buffered recording path")
         # Library-frame accesses are recorded with marked kernel ids
         # (``-2 - id``) so captured pages can serve either library-inclusion
-        # view by a column mask; the buffered flush folds them back, keeping
-        # live reports unchanged.  The legacy per-event path never reads
-        # ``rec_id``, so the flag is harmless there.
+        # view by a column mask; the flush folds them back, keeping live
+        # reports unchanged.
         self.callstack = CallStack(
             exclude_library_accesses=self.options.exclude_libraries,
             mark_library=not self.options.exclude_libraries)
@@ -67,8 +58,6 @@ class TQuadTool:
         self._sink: RecordingSink | None = None
         self._rec_read = None
         self._rec_write = None
-        self._on_read = None
-        self._on_write = None
         self.prefetches_skipped = 0
         self.finished = False
 
@@ -80,21 +69,17 @@ class TQuadTool:
         self._engine = engine
         self._machine = engine.machine
         self._images = {r.name: r.image for r in engine.program.routines}
-        if self.buffered:
-            if self.capture is not None:
-                self._sink = CapturingRecordingSink(
-                    self.ledger, self.callstack, self.options.stack,
-                    self.capture)
-            else:
-                self._sink = RecordingSink(self.ledger, self.callstack,
-                                           self.options.stack)
-            self._rec_read = make_recorder(self._sink, engine.machine,
-                                           write=False)
-            self._rec_write = make_recorder(self._sink, engine.machine,
-                                            write=True)
+        if self.capture is not None:
+            self._sink = CapturingRecordingSink(
+                self.ledger, self.callstack, self.options.stack,
+                self.capture)
         else:
-            self._on_read = self._make_on_access(write=False)
-            self._on_write = self._make_on_access(write=True)
+            self._sink = RecordingSink(self.ledger, self.callstack,
+                                       self.options.stack)
+        self._rec_read = make_recorder(self._sink, engine.machine,
+                                       write=False)
+        self._rec_write = make_recorder(self._sink, engine.machine,
+                                        write=True)
         engine.INS_AddInstrumentFunction(self._instrument_instruction)
         engine.RTN_AddInstrumentFunction(self._instrument_routine)
         engine.AddFiniFunction(self._fini)
@@ -122,26 +107,17 @@ class TQuadTool:
     def _instrument_instruction(self, ins: INS) -> None:
         """``Instruction()`` — see paper Fig. 4."""
         if ins.IsPrefetch():
-            # the paper's "return immediately upon detection of a prefetch";
-            # the legacy path keeps the full argument shape so the guard
-            # lives in the analysis routine itself.
-            if self.buffered:
-                ins.InsertPredicatedCall(IPOINT.BEFORE, self._count_prefetch)
-            else:
-                ins.InsertPredicatedCall(
-                    IPOINT.BEFORE, self._increase_read,
-                    IARG.MEMORY_EA, IARG.MEMORY_SIZE, IARG.REG_SP,
-                    IARG.IS_PREFETCH)
+            # the paper's "return immediately upon detection of a
+            # prefetch", decided statically: a prefetch only gets counted
+            ins.InsertPredicatedCall(IPOINT.BEFORE, self._count_prefetch)
             return
-        on_read = self._rec_read if self.buffered else self._on_read
-        on_write = self._rec_write if self.buffered else self._on_write
         if ins.IsMemoryRead():
             ins.InsertPredicatedCall(
-                IPOINT.BEFORE, on_read,
+                IPOINT.BEFORE, self._rec_read,
                 IARG.MEMORY_EA, IARG.MEMORY_SIZE, IARG.REG_SP)
         if ins.IsMemoryWrite():
             ins.InsertPredicatedCall(
-                IPOINT.BEFORE, on_write,
+                IPOINT.BEFORE, self._rec_write,
                 IARG.MEMORY_EA, IARG.MEMORY_SIZE, IARG.REG_SP)
         if ins.IsRet():
             ins.InsertCall(IPOINT.BEFORE, self.callstack.on_ret)
@@ -153,55 +129,9 @@ class TQuadTool:
 
     # ------------------------------------------------------ analysis routines
     def _count_prefetch(self) -> None:
-        """Buffered-mode prefetch guard (static: the call is only inserted
-        on prefetch instructions)."""
+        """Prefetch guard (static: the call is only inserted on prefetch
+        instructions)."""
         self.prefetches_skipped += 1
-
-    def _increase_read(self, ea: int, size: int, sp: int,
-                       is_prefetch: bool) -> None:
-        """``IncreaseRead`` with the prefetch guard of the paper."""
-        if is_prefetch:
-            self.prefetches_skipped += 1
-            return
-        self._on_read(ea, size, sp)
-
-    def _make_on_access(self, *, write: bool):
-        """Build the legacy per-event analysis routine for one direction.
-
-        One parameterized closure replaces the paper's six near-identical
-        ``Increase{Read,Write}[{Incl,Excl}]`` variants: the stack policy
-        selects which of the four ledger counters get the bytes, and
-        whether stack accesses are discarded up front.
-        """
-        policy = self.options.stack
-        exclude_libs = self.options.exclude_libraries
-        cs = self.callstack
-        ledger = self.ledger
-        machine = self._machine
-        incl_col = 2 if write else 0
-        excl_col = 3 if write else 1
-        track_incl = policy is not StackPolicy.EXCLUDE
-        track_excl = policy is not StackPolicy.INCLUDE
-
-        def on_access(ea: int, size: int, sp: int) -> None:
-            if not track_incl and ea >= sp:
-                return  # local stack area: discarded before any tracing work
-            if cs.in_library and exclude_libs:
-                return
-            name = cs.current_kernel
-            if name is None:
-                return
-            s = (machine.icount - 1) // ledger.interval
-            if s != ledger.cur_slice:
-                ledger.advance(s)
-            c = ledger.cur.get(name)
-            if c is None:
-                c = ledger.cur[name] = [0, 0, 0, 0]
-            if track_incl:
-                c[incl_col] += size
-            if track_excl and ea < sp:
-                c[excl_col] += size
-        return on_access
 
     def _flush_buffers(self) -> None:
         if self._sink is not None:
@@ -236,13 +166,13 @@ class TQuadTool:
 
 def run_tquad(program, *, options: TQuadOptions | None = None, fs=None,
               max_instructions: int | None = None,
-              mem_size: int | None = None, buffered: bool = True,
+              mem_size: int | None = None,
               jit: bool = True) -> TQuadReport:
     """Convenience: profile ``program`` with tQUAD and return the report."""
     kwargs = {"fs": fs, "jit": jit}
     if mem_size is not None:
         kwargs["mem_size"] = mem_size
     engine = PinEngine(program, **kwargs)
-    tool = TQuadTool(options, buffered=buffered).attach(engine)
+    tool = TQuadTool(options).attach(engine)
     engine.run(max_instructions=max_instructions)
     return tool.report()

@@ -1,6 +1,6 @@
 """Buffered access recording: the profiler hot path of the superblock tier.
 
-The legacy tQUAD analysis routines do attribution work (call-stack lookup,
+The paper's tQUAD analysis routines do attribution work (call-stack lookup,
 slice arithmetic, dict updates) on *every* memory access.  The recording
 path splits that into two halves, the same shape low-overhead instrumenters
 such as Examem use:
@@ -21,9 +21,10 @@ such as Examem use:
   ``(kernel, slice)`` and lands the byte sums in
   :meth:`BandwidthLedger.accumulate`.
 
-The produced ledger history is identical to the legacy per-event path —
-the differential tests in ``tests/unit/test_superblock.py`` assert report
-equality for every stack policy.
+The produced ledger history is identical to the paper's per-event
+routine, kept as the test oracle ``tests/reference/tquad.py``: the
+differential tests in ``tests/unit/test_superblock.py`` assert report
+equality against it for every stack policy, on both execution tiers.
 """
 
 from __future__ import annotations

@@ -20,16 +20,14 @@ from .merge import merge_gprof, merge_quad, merge_tquad
 from .run import ParallelRun, parallel_profile
 from .supervise import (DEFAULT_DEADLINE, DEFAULT_MAX_RETRIES,
                         HEARTBEAT_INTERVAL, Supervisor)
-from .worker import (GprofSpec, QuadSpec, ShardPagedQuadTool, ShardQuadTool,
-                     ShardResult, ShardRunner, ToolSpec, TQuadSpec,
-                     execute_shard)
+from .worker import (GprofSpec, QuadSpec, ShardPagedQuadTool, ShardResult,
+                     ShardRunner, ToolSpec, TQuadSpec, execute_shard)
 
 __all__ = [
     "parallel_profile", "ParallelRun",
     "TQuadSpec", "QuadSpec", "GprofSpec", "ToolSpec",
     "iter_shards", "ShardSpec", "CheckpointTracer",
-    "execute_shard", "ShardRunner", "ShardResult", "ShardQuadTool",
-    "ShardPagedQuadTool",
+    "execute_shard", "ShardRunner", "ShardResult", "ShardPagedQuadTool",
     "merge_tquad", "merge_quad", "merge_gprof",
     "Supervisor", "DEFAULT_DEADLINE", "DEFAULT_MAX_RETRIES",
     "HEARTBEAT_INTERVAL",

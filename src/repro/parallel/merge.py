@@ -7,12 +7,13 @@ or serialised) to what the serial tool builds:
 * **tQUAD** — ``BandwidthLedger.accumulate`` is commutative addition per
   ``(kernel, slice)``; slice indices are computed from absolute icounts, so
   a slice split across a shard boundary merges back exactly.
-* **QUAD** — consumer-side counters and UnMA sets sum/union directly.
-  Producer attribution of cross-shard reads was deferred by the workers;
-  here each shard's deferred reads are resolved against the *composed
-  shadow* of all earlier shards (which is exactly the serial tool's shadow
-  at the shard's start for every address the shard did not overwrite),
-  then the shard's own shadow is layered on top.
+* **QUAD** — consumer-side counters sum and UnMA bitmap pages union,
+  all in the paged shadow's interned form.  Producer attribution of
+  cross-shard reads was deferred by the workers; here each shard's
+  deferred reads are resolved against the *composed shadow* of all
+  earlier shards (which is exactly the serial tool's shadow at the
+  shard's start for every address the shard did not overwrite), then the
+  shard's own shadow is layered on top.
 * **gprof** — self/cumulative/call/edge counts sum; shard-boundary self
   time was settled by ``flush_shard`` such that the two halves of each
   lazily-attributed span add up to the serial charge.  Dicts are merged in
@@ -29,8 +30,8 @@ from ..core.report import TQuadReport
 from ..gprofsim.report import FlatProfile, FlatRow
 from ..quad.report import QuadReport
 from ..quad.tracker import KernelIO
-from .worker import (GprofPayload, GprofSpec, QuadPagedPayload, QuadPayload,
-                     QuadSpec, ShardResult, TQuadPayload, TQuadSpec)
+from .worker import (GprofPayload, GprofSpec, QuadPagedPayload, QuadSpec,
+                     ShardResult, TQuadPayload, TQuadSpec)
 
 
 def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
@@ -52,15 +53,14 @@ def merge_tquad(results: list[ShardResult], spec: TQuadSpec,
     return report, prefetches
 
 
-def _merge_quad_paged(results: list[ShardResult], spec: QuadSpec,
-                      images: dict[str, str],
-                      total_instructions: int) -> QuadReport:
+def merge_quad(results: list[ShardResult], spec: QuadSpec,
+               images: dict[str, str],
+               total_instructions: int) -> QuadReport:
     """Fold paged shard payloads without leaving the interned/paged form.
 
-    Same shard-order semantics as the legacy fold below: each shard's
-    deferred reads resolve against the composed shadow of all *earlier*
-    shards, then the shard's own shadow is layered on top (remapped from
-    shard-local to merge-global writer ids).
+    Each shard's deferred reads resolve against the composed shadow of
+    all *earlier* shards, then the shard's own shadow is layered on top
+    (remapped from shard-local to merge-global writer ids).
     """
     from ..quad.shadow import (_IN_EXCL, _IN_INCL, _OUT_EXCL, _OUT_INCL,
                                _READS, _READS_NS, _V_IN_INCL, _WRITES,
@@ -158,67 +158,6 @@ def _merge_quad_paged(results: list[ShardResult], spec: QuadSpec,
             reads=int(c[_READS]), writes=int(c[_WRITES]),
             reads_nonstack=int(c[_READS_NS]),
             writes_nonstack=int(c[_WRITES_NS]))
-    return QuadReport(kernels=kernels, bindings=bindings,
-                      images=dict(images),
-                      total_instructions=total_instructions)
-
-
-def merge_quad(results: list[ShardResult], spec: QuadSpec,
-               images: dict[str, str],
-               total_instructions: int) -> QuadReport:
-    if spec.shadow == "paged":
-        return _merge_quad_paged(results, spec, images, total_instructions)
-    kernels: dict[str, KernelIO] = {}
-    bindings: dict[tuple[str, str], list[int]] = {}
-    shadow: dict[int, str] = {}
-    for res in results:
-        payload: QuadPayload = res.payloads[spec.key]
-        # Resolve this shard's cross-shard reads against the pre-shard
-        # shadow.  A producer found here wrote in an earlier shard, so its
-        # KernelIO is already present; a miss means the address was never
-        # written — the serial tool drops those reads too.
-        for consumer, (addrs, incls, excls) in payload.deferred.items():
-            for addr, n_incl, n_excl in zip(addrs, incls, excls):
-                producer = shadow.get(addr)
-                if producer is None:
-                    continue
-                pio = kernels[producer]
-                pio.out_bytes_incl += n_incl
-                pio.out_bytes_excl += n_excl
-                if spec.track_bindings:
-                    key = (producer, consumer)
-                    b = bindings.get(key)
-                    if b is None:
-                        b = bindings[key] = [0, 0]
-                    b[0] += n_incl
-                    b[1] += n_excl
-        for name, ctr in payload.counters.items():
-            tgt = kernels.get(name)
-            if tgt is None:
-                tgt = kernels[name] = KernelIO()
-            tgt.in_bytes_incl += ctr[0]
-            tgt.in_bytes_excl += ctr[1]
-            tgt.out_bytes_incl += ctr[2]
-            tgt.out_bytes_excl += ctr[3]
-            tgt.reads += ctr[4]
-            tgt.writes += ctr[5]
-            tgt.reads_nonstack += ctr[6]
-            tgt.writes_nonstack += ctr[7]
-            in_incl, in_excl, out_incl, out_excl = payload.unma[name]
-            tgt.in_unma_incl.update(in_incl)
-            tgt.in_unma_excl.update(in_excl)
-            tgt.out_unma_incl.update(out_incl)
-            tgt.out_unma_excl.update(out_excl)
-        for key, counts in payload.bindings.items():
-            b = bindings.get(key)
-            if b is None:
-                bindings[key] = list(counts)
-            else:
-                b[0] += counts[0]
-                b[1] += counts[1]
-        shadow.update(zip(payload.shadow_addrs,
-                          map(payload.shadow_names.__getitem__,
-                              payload.shadow_writers)))
     return QuadReport(kernels=kernels, bindings=bindings,
                       images=dict(images),
                       total_instructions=total_instructions)

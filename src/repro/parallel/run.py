@@ -98,12 +98,11 @@ def _serial_run(program: Program, tool_specs: tuple[ToolSpec, ...], *,
     capture_kernels = None
     for ts in tool_specs:
         if isinstance(ts, TQuadSpec):
-            tool = TQuadTool(ts.options, buffered=ts.buffered,
+            tool = TQuadTool(ts.options,
                              capture=(capture_writer if ts.capture
                                       else None))
         elif isinstance(ts, QuadSpec):
-            tool = QuadTool(track_bindings=ts.track_bindings,
-                            shadow=ts.shadow)
+            tool = QuadTool(track_bindings=ts.track_bindings)
         elif isinstance(ts, GprofSpec):
             tool = GprofTool()
         else:

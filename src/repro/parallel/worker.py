@@ -17,10 +17,9 @@ Seeding is what makes mid-execution replay exact:
   observed inside the shard charge cumulative time for the full
   activation, exactly as the serial run does.
 * QUAD's shadow memory cannot be seeded cheaply (it is the whole write
-  history), so both shard variants *defer* reads whose producer is
-  unknown within the shard — :class:`ShardQuadTool` per byte in a dict,
-  :class:`ShardPagedQuadTool` through the paged sink's native
-  ``defer_unknown`` tables — and the merge resolves them against the
+  history), so :class:`ShardPagedQuadTool` *defers* reads whose producer
+  is unknown within the shard, through the paged sink's native
+  ``defer_unknown`` tables, and the merge resolves them against the
   sequentially-composed shadow of all earlier shards.
 """
 
@@ -49,9 +48,8 @@ class TQuadSpec:
 
     key: ClassVar[str] = "tquad"
     options: TQuadOptions = field(default_factory=TQuadOptions)
-    buffered: bool = True
     #: Also collect capture pages (shipped home in the shard payload and
-    #: merged by :mod:`repro.capture.segments`).  Requires ``buffered``.
+    #: merged by :mod:`repro.capture.segments`).
     capture: bool = False
 
 
@@ -61,13 +59,6 @@ class QuadSpec:
 
     key: ClassVar[str] = "quad"
     track_bindings: bool = True
-    #: Shadow implementation, as in :class:`~repro.quad.tracker.QuadTool`.
-    shadow: str = "paged"
-
-    def __post_init__(self) -> None:
-        if self.shadow not in ("paged", "legacy"):
-            raise ValueError(
-                f"unknown shadow implementation {self.shadow!r}")
 
 
 @dataclass(frozen=True)
@@ -116,33 +107,6 @@ class TQuadPayload:
 
 
 @dataclass
-class QuadPayload:
-    """QUAD shard results in wire form.
-
-    UnMA sets, the shard shadow and the deferred reads dominate the
-    payload volume (millions of addresses), so they travel as flat
-    ``array('q')`` columns — pickling them is a memcpy, where the
-    equivalent set/dict pickles cost seconds of *parent-side* (serial)
-    decode per run.  The merge rebuilds real sets/dicts exactly once.
-    """
-
-    #: name -> (in_bytes_incl, in_bytes_excl, out_bytes_incl,
-    #: out_bytes_excl, reads, writes, reads_nonstack, writes_nonstack)
-    counters: dict[str, tuple[int, ...]]
-    #: name -> UnMA address columns (in_incl, in_excl, out_incl, out_excl)
-    unma: dict[str, tuple[array, array, array, array]]
-    bindings: dict[tuple[str, str], list[int]]
-    #: Shard-local shadow, struct-of-arrays: ``shadow_addrs[i]`` was last
-    #: written by ``shadow_names[shadow_writers[i]]``.
-    shadow_addrs: array
-    shadow_writers: array
-    shadow_names: list[str]
-    #: consumer -> (addrs, incl counts, excl counts) of reads whose
-    #: producer wrote before this shard started.
-    deferred: dict[str, tuple[array, array, array]]
-
-
-@dataclass
 class QuadPagedPayload:
     """QUAD shard results from the paged shadow, in wire form.
 
@@ -185,73 +149,6 @@ class ShardResult:
     payloads: dict[str, object]
 
 
-class ShardQuadTool(QuadTool):
-    """QUAD variant for mid-execution shards: defers cross-shard reads.
-
-    Within a shard the local shadow is authoritative for every address
-    written *inside* the shard (the last writer is shard-local by
-    definition).  A read that misses it was last written before the shard
-    started — its producer attribution and binding are recorded as a
-    deferred ``(addr, consumer)`` count and settled at merge time against
-    the composed shadow of all earlier shards.  The consumer-side counters
-    (IN bytes, UnMA sets, access counts) never need the producer and are
-    accounted immediately.
-    """
-
-    def __init__(self, *, track_bindings: bool = True):
-        super().__init__(track_bindings=track_bindings, shadow="legacy")
-        self.deferred: dict[tuple[int, str], list[int]] = {}
-
-    def reset(self) -> None:
-        super().reset()
-        self.deferred = {}
-
-    def _on_read(self, ea: int, size: int, sp: int) -> None:
-        name = self.callstack.current_kernel
-        if name is None:
-            return
-        io = self._io(name)
-        io.reads += 1
-        io.in_bytes_incl += size
-        if ea < sp:
-            io.reads_nonstack += 1
-        shadow = self.shadow
-        kernels = self.kernels
-        bindings = self.bindings
-        deferred = self.deferred
-        track = self.track_bindings
-        in_incl = io.in_unma_incl
-        in_excl = io.in_unma_excl
-        for addr in range(ea, ea + size):
-            below = addr < sp
-            in_incl.add(addr)
-            if below:
-                io.in_bytes_excl += 1
-                in_excl.add(addr)
-            producer = shadow.get(addr)
-            if producer is None:
-                key = (addr, name)
-                d = deferred.get(key)
-                if d is None:
-                    d = deferred[key] = [0, 0]
-                d[0] += 1
-                if below:
-                    d[1] += 1
-                continue
-            pio = kernels[producer]
-            pio.out_bytes_incl += 1
-            if below:
-                pio.out_bytes_excl += 1
-            if track:
-                key = (producer, name)
-                b = bindings.get(key)
-                if b is None:
-                    b = bindings[key] = [0, 0]
-                b[0] += 1
-                if below:
-                    b[1] += 1
-
-
 class ShardPagedQuadTool(QuadTool):
     """Paged-shadow QUAD variant for mid-execution shards.
 
@@ -280,57 +177,16 @@ def build_tools(engine: PinEngine,
                 from ..capture.writer import CaptureCollector
 
                 capture = CaptureCollector()
-            tool = TQuadTool(ts.options, buffered=ts.buffered,
-                             capture=capture).attach(engine)
+            tool = TQuadTool(ts.options, capture=capture).attach(engine)
         elif isinstance(ts, QuadSpec):
-            cls = (ShardPagedQuadTool if ts.shadow == "paged"
-                   else ShardQuadTool)
-            tool = cls(track_bindings=ts.track_bindings).attach(engine)
+            tool = ShardPagedQuadTool(
+                track_bindings=ts.track_bindings).attach(engine)
         elif isinstance(ts, GprofSpec):
             tool = GprofTool().attach(engine)
         else:
             raise TypeError(f"unknown tool spec {ts!r}")
         tools.append((ts, tool))
     return tools
-
-
-def _quad_payload(tool: ShardQuadTool) -> QuadPayload:
-    """Repack a shard's QUAD state into the flat wire form."""
-    counters: dict[str, tuple[int, ...]] = {}
-    unma: dict[str, tuple[array, array, array, array]] = {}
-    for name, io in tool.kernels.items():
-        counters[name] = (io.in_bytes_incl, io.in_bytes_excl,
-                          io.out_bytes_incl, io.out_bytes_excl,
-                          io.reads, io.writes,
-                          io.reads_nonstack, io.writes_nonstack)
-        unma[name] = (array("q", io.in_unma_incl),
-                      array("q", io.in_unma_excl),
-                      array("q", io.out_unma_incl),
-                      array("q", io.out_unma_excl))
-    writer_ids: dict[str, int] = {}
-    shadow_names: list[str] = []
-    shadow_addrs = array("q")
-    shadow_writers = array("q")
-    for addr, name in tool.shadow.items():
-        i = writer_ids.get(name)
-        if i is None:
-            i = writer_ids[name] = len(shadow_names)
-            shadow_names.append(name)
-        shadow_addrs.append(addr)
-        shadow_writers.append(i)
-    deferred: dict[str, tuple[array, array, array]] = {}
-    for (addr, consumer), (n_incl, n_excl) in tool.deferred.items():
-        d = deferred.get(consumer)
-        if d is None:
-            d = deferred[consumer] = (array("q"), array("q"), array("q"))
-        d[0].append(addr)
-        d[1].append(n_incl)
-        d[2].append(n_excl)
-    return QuadPayload(counters=counters, unma=unma,
-                       bindings=tool.bindings,
-                       shadow_addrs=shadow_addrs,
-                       shadow_writers=shadow_writers,
-                       shadow_names=shadow_names, deferred=deferred)
 
 
 def _quad_paged_payload(tool: ShardPagedQuadTool) -> QuadPagedPayload:
@@ -438,9 +294,7 @@ class ShardRunner:
                         capture_kernels=(list(tool.callstack.interned_names)
                                          if ts.capture else None))
                 elif isinstance(ts, QuadSpec):
-                    payloads[ts.key] = (_quad_paged_payload(tool)
-                                        if ts.shadow == "paged"
-                                        else _quad_payload(tool))
+                    payloads[ts.key] = _quad_paged_payload(tool)
                 elif isinstance(ts, GprofSpec):
                     payloads[ts.key] = GprofPayload(
                         self_instructions=tool.self_instructions,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from ..gprofsim.report import FlatProfile, FlatRow
 from .report import QuadReport
-from .tracker import unma_card
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ def instrumented_profile(base: FlatProfile, quad: QuadReport,
             reads, writes, nreads, nwrites = quad.access_counts(row.name)
             inflated += model.check_cost * (reads + writes)
             inflated += model.trace_cost * (nreads + nwrites)
-            inflated += model.unma_cost * (unma_card(io.in_unma_excl)
-                                           + unma_card(io.out_unma_excl))
+            inflated += model.unma_cost * (io.in_unma_excl
+                                           + io.out_unma_excl)
         inflated += model.call_cost * row.calls
         rows.append(FlatRow(name=row.name,
                             self_instructions=int(round(inflated)),

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..vm.program import MAIN_IMAGE
-from .tracker import KernelIO, unma_card
+from .tracker import KernelIO
 
 
 @dataclass
@@ -41,9 +39,10 @@ class QuadReport:
     bindings: dict[tuple[str, str], list[int]]
     images: dict[str, str] = field(default_factory=dict)
     total_instructions: int = 0
-    #: Shadow-memory footprint (paged runs only): pages allocated, resident
-    #: shadow bytes, interned-kernel count.  Observability only — never
-    #: part of the serialized report or the rendered tables.
+    #: Shadow-memory footprint (``None`` after a parallel merge): pages
+    #: allocated, resident shadow bytes, interned-kernel count.
+    #: Observability only — never part of the serialized report or the
+    #: rendered tables.
     shadow_stats: dict[str, int] | None = None
 
     def kernel_names(self, *, main_image_only: bool = True) -> list[str]:
@@ -58,13 +57,13 @@ class QuadReport:
         return Table2Row(
             kernel=name,
             in_excl=io.in_bytes_excl,
-            in_unma_excl=unma_card(io.in_unma_excl),
+            in_unma_excl=io.in_unma_excl,
             out_excl=io.out_bytes_excl,
-            out_unma_excl=unma_card(io.out_unma_excl),
+            out_unma_excl=io.out_unma_excl,
             in_incl=io.in_bytes_incl,
-            in_unma_incl=unma_card(io.in_unma_incl),
+            in_unma_incl=io.in_unma_incl,
             out_incl=io.out_bytes_incl,
-            out_unma_incl=unma_card(io.out_unma_incl),
+            out_unma_incl=io.out_unma_incl,
         )
 
     def rows(self, *, main_image_only: bool = True) -> list[Table2Row]:
@@ -73,17 +72,26 @@ class QuadReport:
 
     # ------------------------------------------------------------ QDU graph
     def qdu_graph(self, *, include_stack: bool = True,
-                  main_image_only: bool = True) -> nx.DiGraph:
-        """The Quantitative Data Usage graph: producer→consumer edges
-        weighted by communicated bytes."""
-        g = nx.DiGraph()
+                  main_image_only: bool = True
+                  ) -> tuple[dict[str, dict[str, int]],
+                             dict[tuple[str, str], int]]:
+        """The Quantitative Data Usage graph as ``(nodes, edges)``.
+
+        ``nodes`` maps each kernel to its ``in_bytes``/``out_unma``
+        attributes; ``edges`` maps ``(producer, consumer)`` to the bytes
+        communicated.  Both keep insertion order: kernels sorted by name,
+        then edges in binding order.  An edge endpoint missing from the
+        kernel table (a hand-built report) gets a node without attributes.
+        """
         idx = 0 if include_stack else 1
+        nodes: dict[str, dict[str, int]] = {}
         for name in self.kernel_names(main_image_only=main_image_only):
             row = self.row(name)
-            g.add_node(name,
-                       in_bytes=row.in_incl if include_stack else row.in_excl,
-                       out_unma=(row.out_unma_incl if include_stack
-                                 else row.out_unma_excl))
+            nodes[name] = {
+                "in_bytes": row.in_incl if include_stack else row.in_excl,
+                "out_unma": (row.out_unma_incl if include_stack
+                             else row.out_unma_excl)}
+        edges: dict[tuple[str, str], int] = {}
         for (producer, consumer), counts in self.bindings.items():
             if counts[idx] == 0:
                 continue
@@ -91,8 +99,10 @@ class QuadReport:
                     self.images.get(producer, MAIN_IMAGE) != MAIN_IMAGE
                     or self.images.get(consumer, MAIN_IMAGE) != MAIN_IMAGE):
                 continue
-            g.add_edge(producer, consumer, bytes=counts[idx])
-        return g
+            nodes.setdefault(producer, {})
+            nodes.setdefault(consumer, {})
+            edges[(producer, consumer)] = counts[idx]
+        return nodes, edges
 
     def qdu_to_dot(self, *, include_stack: bool = False,
                    main_image_only: bool = True,
@@ -105,16 +115,15 @@ class QuadReport:
         """
         import math
 
-        g = self.qdu_graph(include_stack=include_stack,
-                           main_image_only=main_image_only)
+        nodes, edges = self.qdu_graph(include_stack=include_stack,
+                                      main_image_only=main_image_only)
         lines = ["digraph QDU {", '  rankdir=LR;',
                  '  node [shape=box, fontsize=10];']
-        for node, data in g.nodes(data=True):
+        for node, data in nodes.items():
             label = (f"{node}\\nIN {data.get('in_bytes', 0)} B\\n"
                      f"OUT UnMA {data.get('out_unma', 0)}")
             lines.append(f'  "{node}" [label="{label}"];')
-        for u, v, data in sorted(g.edges(data=True)):
-            b = data["bytes"]
+        for (u, v), b in sorted(edges.items()):
             if b < min_bytes:
                 continue
             width = max(1.0, math.log10(max(b, 10)))
@@ -156,10 +165,11 @@ class QuadReport:
         return "\n".join(lines)
 
     def format_stats(self) -> str:
-        """Shadow footprint rendering for ``--stats`` (paged runs only)."""
+        """Shadow footprint rendering for ``--stats`` (not kept by the
+        parallel merge)."""
         s = self.shadow_stats
         if s is None:
-            return "shadow stats unavailable (legacy shadow or merged run)"
+            return "shadow stats unavailable (merged run)"
         lines = ["QUAD shadow memory:"]
         lines.append(f"  page size            {s['page_size']:>12}")
         lines.append(f"  shadow pages         {s['shadow_pages']:>12}")

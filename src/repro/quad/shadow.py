@@ -1,9 +1,11 @@
 """Paged, kernel-ID-interned shadow memory — QUAD's vectorized hot path.
 
-The legacy :class:`~repro.quad.tracker.QuadTool` resolves every access one
-byte at a time against a ``dict[int, str]`` last-writer map and four Python
-sets per kernel.  This module replaces that with the structure production
-memory instrumenters (Examem, the Valgrind working-set tool) use:
+QUAD as the paper describes it resolves every access one byte at a time
+against a last-writer map and four address sets per kernel; that walk
+survives as the test oracle ``tests/reference/quad.py``.  The shadow
+behind :class:`~repro.quad.tracker.QuadTool` instead uses the structure
+production memory instrumenters (Examem, the Valgrind working-set tool)
+use:
 
 * :class:`ShadowPages` — a page table mapping ``addr >> PAGE_SHIFT`` to
   ``int32`` arrays of interned writer ids (0 = never written).  Writes are
@@ -36,7 +38,7 @@ SP changes orders of magnitude less often than memory is accessed.
 Exactness
 ---------
 
-The drain is byte-identical to the legacy per-byte walk.  Every access
+The drain is byte-identical to the per-byte walk.  Every access
 counter (reads, writes, their non-stack shares, IN bytes incl/excl)
 comes from one integer ``bincount`` over each record's (kernel, width,
 kind, bytes-below-SP) payload.  Aligned 8-byte accesses (the
@@ -472,8 +474,8 @@ class PagedQuadSink:
         self.read_buf = self.write_buf = self.buf
         self.last_sp = -1
         self._sp0 = 0
-        #: resolve unknown producers never (serial: the legacy tool drops
-        #: them too) or into the deferred tables (shard replay).
+        #: resolve unknown producers never (serial: the per-byte walk
+        #: drops them too) or into the deferred tables (shard replay).
         self.defer_unknown = False
         self.flush_read = self.flush_write = self.flush
         self._fresh_state()
@@ -494,7 +496,7 @@ class PagedQuadSink:
         #: one IN count per event; byte ``b``'s excl count is the number of
         #: events with ``n_below > b``.
         self._def_words: dict[tuple[int, int], list[int]] = {}
-        #: (addr, consumer_kid) -> [incl, excl] (legacy-shaped)
+        #: (addr, consumer_kid) -> [incl, excl], one entry per byte
         self._def_bytes: dict[tuple[int, int], list[int]] = {}
 
     def reset(self) -> None:

@@ -24,7 +24,6 @@ from .core.options import StackPolicy, TQuadOptions
 from .core.report import TQuadReport
 from .gprofsim.report import FlatProfile, FlatRow
 from .quad.report import QuadReport
-from .quad.tracker import unma_card
 
 FORMAT_VERSION = 1
 
@@ -247,8 +246,8 @@ def flat_from_json(text: str) -> FlatProfile:
 
 # ----------------------------------------------------------------- QUAD
 def quad_to_dict(report: QuadReport) -> dict[str, Any]:
-    """Export-only: UnMA *sets* collapse to their sizes (Table II needs only
-    the cardinalities; the raw sets can be gigabytes)."""
+    """QUAD report as a dict; UnMA columns are address counts (Table II
+    needs only the cardinalities)."""
     return {
         "format": FORMAT_VERSION,
         "kind": "quad",
@@ -258,10 +257,10 @@ def quad_to_dict(report: QuadReport) -> dict[str, Any]:
             name: {
                 "in_incl": io.in_bytes_incl, "in_excl": io.in_bytes_excl,
                 "out_incl": io.out_bytes_incl, "out_excl": io.out_bytes_excl,
-                "in_unma_incl": unma_card(io.in_unma_incl),
-                "in_unma_excl": unma_card(io.in_unma_excl),
-                "out_unma_incl": unma_card(io.out_unma_incl),
-                "out_unma_excl": unma_card(io.out_unma_excl),
+                "in_unma_incl": io.in_unma_incl,
+                "in_unma_excl": io.in_unma_excl,
+                "out_unma_incl": io.out_unma_incl,
+                "out_unma_excl": io.out_unma_excl,
                 "reads": io.reads, "writes": io.writes,
                 "reads_nonstack": io.reads_nonstack,
                 "writes_nonstack": io.writes_nonstack,
@@ -277,9 +276,7 @@ def quad_to_dict(report: QuadReport) -> dict[str, Any]:
 
 
 def quad_from_dict(data: dict[str, Any]) -> QuadReport:
-    """Rebuild a :class:`QuadReport` (UnMA fields come back as ``int``
-    cardinalities — exactly the paged shadow's native form, so all report
-    rendering and the QDU graph work unchanged)."""
+    """Rebuild a :class:`QuadReport` from :func:`quad_to_dict` output."""
     if data.get("kind") != "quad":
         raise ValueError("not a serialised QUAD report")
     from .quad.tracker import KernelIO

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from ..capture.format import (STREAM_TQUAD_READ, STREAM_TQUAD_WRITE,
-                              require_tool)
+                              check_table_ids, require_tool)
 from ..capture.reader import CaptureReader, PageCursor, StreamingCursor
 from ..capture.replay import _resolve_tquad_options
 from ..capture.streaming import (MemBudget, SortedTableAcc, SpillPool,
@@ -319,6 +319,7 @@ def sweep_tquad(reader: CaptureReader, grid: SweepGrid,
                         valid = kid_raw != -1
                         has_lib = bool(lib.any())
                         kid = np.where(lib, -2 - kid_raw, kid_raw)
+                    check_table_ids(kid, len(names), f"{stream} kernel")
                     sl = (page[:, 0] - 1) // fine
                     key = kid * n_fine + sl
                     incl, excl = page[:, 1], page[:, 2]

@@ -95,11 +95,9 @@ class TestSerialParallelEquivalence:
     @given(guest_programs(),
            st.sampled_from([1, 2, 4]),
            st.sampled_from([97, 100, 1000]),   # interval
-           st.booleans(),                      # boundaries on slice edges?
-           st.sampled_from(["paged", "legacy"]))   # QUAD shadow impl
+           st.booleans())                      # boundaries on slice edges?
     @settings(max_examples=20, deadline=None)
-    def test_all_tools_byte_identical(self, src, jobs, interval, align,
-                                      shadow):
+    def test_all_tools_byte_identical(self, src, jobs, interval, align):
         program = build_program(src)
         opts = TQuadOptions(slice_interval=interval)
         serial_t = run_tquad(build_program(src), options=opts)
@@ -107,7 +105,7 @@ class TestSerialParallelEquivalence:
         serial_g = run_gprof(build_program(src))
         run = parallel_profile(
             program,
-            (TQuadSpec(options=opts), QuadSpec(shadow=shadow), GprofSpec()),
+            (TQuadSpec(options=opts), QuadSpec(), GprofSpec()),
             jobs=jobs, executor="inline",
             # small fixed quantum so even tiny guests split into shards;
             # align=True snaps boundaries to slice edges, False leaves

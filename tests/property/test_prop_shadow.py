@@ -1,12 +1,12 @@
 """Differential properties of the paged QUAD shadow memory.
 
 The paged/interned sink (:mod:`repro.quad.shadow`) must be *byte-identical*
-to the legacy per-byte dict/set walk for any access stream.  Hypothesis
-drives both `QuadTool` variants over random streams of reads/writes of
-random sizes and alignments, interleaved with kernel enter/return events,
-SP movement (including accesses straddling the stack pointer) and
-mid-stream drains, then compares every Table II counter, UnMA cardinality
-and binding.
+to the per-byte dict/set walk (the oracle in ``tests/reference/quad.py``)
+for any access stream.  Hypothesis drives `QuadTool` and the oracle over
+random streams of reads/writes of random sizes and alignments,
+interleaved with kernel enter/return events, SP movement (including
+accesses straddling the stack pointer) and mid-stream drains, then
+compares every Table II counter, UnMA cardinality and binding.
 
 Those streams are short and drain at a tiny cap.  A second differential
 drives long *loop-shaped* streams through the sink at its default cap, so
@@ -32,8 +32,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.quad.shadow import (DEFAULT_RAW_CAP, PAGE, PagedQuadSink,
                                ShadowPages, make_raw_recorder)
-from repro.quad.tracker import QuadTool, unma_card
+from repro.quad.tracker import QuadTool
 from repro.vm.program import MAIN_IMAGE
+from tests.reference.quad import PerByteQuadTool
 
 _NAMES = ["alpha", "beta", "gamma"]
 
@@ -71,16 +72,18 @@ def access_streams(draw):
 
 
 def _replay(events, shadow: str, cap: int = 24):
-    """Drive one QuadTool variant over the stream, engine-free."""
-    tool = QuadTool(shadow=shadow)
+    """Drive `QuadTool` (``"paged"``) or the per-byte oracle
+    (``"legacy"``) over the stream, engine-free."""
     if shadow == "paged":
+        tool = QuadTool()
         # mirror attach(), by default with a small cap to force frequent
         # drains
         tool.sink = PagedQuadSink(tool.callstack, cap=cap)
         on_read = make_raw_recorder(tool.sink, write=False)
         on_write = make_raw_recorder(tool.sink, write=True)
     else:
-        on_read, on_write = tool._on_read, tool._on_write
+        tool = PerByteQuadTool()
+        on_read, on_write = tool.on_read, tool.on_write
     for ev in events:
         kind = ev[0]
         if kind == "enter":
@@ -88,21 +91,25 @@ def _replay(events, shadow: str, cap: int = 24):
         elif kind == "ret":
             tool.callstack.on_ret()
         elif kind == "flush":
-            tool.flush()
+            if shadow == "paged":
+                tool.flush()
         elif kind == "read":
             on_read(ev[1], ev[2], ev[3])
         else:
             on_write(ev[1], ev[2], ev[3])
-    tool.flush()
-    if tool.sink is not None:
+    if shadow == "paged":
+        tool.flush()
         tool._materialize()
+        ios = tool.kernels
+    else:
+        ios = tool.kernel_io()
     kernels = {
         name: (io.in_bytes_incl, io.in_bytes_excl,
                io.out_bytes_incl, io.out_bytes_excl,
-               unma_card(io.in_unma_incl), unma_card(io.in_unma_excl),
-               unma_card(io.out_unma_incl), unma_card(io.out_unma_excl),
+               io.in_unma_incl, io.in_unma_excl,
+               io.out_unma_incl, io.out_unma_excl,
                io.reads, io.writes, io.reads_nonstack, io.writes_nonstack)
-        for name, io in tool.kernels.items()
+        for name, io in ios.items()
     }
     bindings = {k: tuple(v) for k, v in tool.bindings.items()}
     return kernels, bindings
@@ -121,7 +128,7 @@ class TestPagedLegacyDifferential:
     def test_reset_gives_independent_run(self, first, second):
         """After reset() the paged tool reproduces a fresh tool's results
         (no state bleed through shadow, counters, bitmaps or buffer)."""
-        tool = QuadTool(shadow="paged")
+        tool = QuadTool()
         tool.sink = PagedQuadSink(tool.callstack, cap=24)
 
         def play(events):

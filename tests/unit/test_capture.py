@@ -23,13 +23,14 @@ from repro.capture import (CaptureCollector, CaptureFormatError,
                            replay_tquad)
 from repro.capture.format import RECORDER_LAYOUT, decode_page, encode_page
 from repro.cli import main
-from repro.core import TQuadOptions, TQuadTool, profile_passes, run_tquad
+from repro.core import TQuadOptions, profile_passes, run_tquad
 from repro.core.options import StackPolicy
 from repro.gprofsim import run_gprof
 from repro.minic import build_program
 from repro.pin import PinEngine
 from repro.quad import QuadTool, RecordOnlyError, run_quad
 from repro.serialize import flat_to_json, quad_to_json, tquad_to_json
+from tests.reference.multipass import reexecute_passes
 
 APP = """
 int a[48]; int b[48];
@@ -336,16 +337,126 @@ class TestForgedQuadRecords:
         assert "forged QUAD record" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """A forgery setting the manifest field at ``path`` (a callable
+    ``value`` maps the genuine one)."""
+    def forge(manifest, pages):
+        *head, last = path
+        node = manifest
+        for key in head:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+    return forge
+
+
+def _set_cell(stream, col, value):
+    """A forgery overwriting column ``col`` of the first row of ``stream``
+    that names a table entry."""
+    def forge(manifest, pages):
+        page = pages[(stream, 0)]
+        row = int(np.flatnonzero(page[:, col] >= 0)[0])
+        page[row, col] = value
+    return forge
+
+
+class TestForgedManifests:
+    """Manifest fields and table ids come from disk: a forged one ends in
+    ``CaptureFormatError`` (CLI exit 2), with or without the decoded-page
+    sidecar — never a numpy/Python crash or a silently made-up report."""
+
+    CASES = {
+        "stride0": ("tquad", _set(("streams", STREAM_TQUAD_READ, "stride"),
+                                  0)),
+        "stride_str": ("tquad", _set(("streams", STREAM_TQUAD_READ,
+                                      "stride"), "4")),
+        "calls_stride1": ("gprof", _set(("streams", STREAM_CALLS,
+                                         "stride"), 1)),
+        "pages_past_zip": ("tquad", _set(("streams", STREAM_TQUAD_READ,
+                                          "pages"), lambda n: n + 3)),
+        "grain0": ("tquad", _set(("options", "grain"), 0)),
+        "grain_negative": ("tquad", _set(("options", "grain"), -5)),
+        "stack_bogus": ("tquad", _set(("options", "stack"), "bogus")),
+        "kernels_empty": ("tquad", _set(("kernels",), [])),
+        "kernel_id_999": ("tquad", _set_cell(STREAM_TQUAD_READ, 3, 999)),
+        "routines_short": ("gprof", _set(("routines",), [["a"]])),
+        "routine_id_999": ("gprof", _set_cell(STREAM_CALLS, 1, 999)),
+    }
+
+    @pytest.fixture(scope="class")
+    def genuine(self, tmp_path_factory):
+        """A genuine capture of ``APP``: (manifest, decoded pages)."""
+        path = tmp_path_factory.mktemp("genuine") / "app.capture"
+        capture_run(build_program(APP), str(path),
+                    options=TQuadOptions(slice_interval=50))
+        with zipfile.ZipFile(path) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            pages = {}
+            for stream, info in manifest["streams"].items():
+                for i in range(info["pages"]):
+                    pages[(stream, i)] = decode_page(
+                        zf.read(f"pages/{stream}/{i:06d}"), info["stride"])
+        return manifest, pages
+
+    @staticmethod
+    def _write(path, manifest, pages):
+        with zipfile.ZipFile(path, "w") as zf:
+            for (stream, i), page in pages.items():
+                zf.writestr(f"pages/{stream}/{i:06d}",
+                            encode_page(page.tobytes(), page.shape[1]))
+            zf.writestr("manifest.json", json.dumps(manifest))
+
+    def _forged(self, genuine, tmp_path, case):
+        manifest = json.loads(json.dumps(genuine[0]))
+        pages = {k: v.copy() for k, v in genuine[1].items()}
+        tool, forge = self.CASES[case] if case else ("tquad", None)
+        if forge is not None:
+            forge(manifest, pages)
+        path = tmp_path / "forged.capture"
+        self._write(path, manifest, pages)
+        return tool, path
+
+    @pytest.mark.parametrize("sidecar", [True, False],
+                             ids=["sidecar", "no_sidecar"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_replay_raises_format_error(self, genuine, tmp_path, case,
+                                        sidecar):
+        tool, path = self._forged(genuine, tmp_path, case)
+        with pytest.raises(CaptureFormatError, match="forged"):
+            with CaptureReader(str(path), page_cache=sidecar) as reader:
+                replay_many(reader, tools=(tool,))
+
+    @pytest.mark.parametrize("sidecar", [True, False],
+                             ids=["sidecar", "no_sidecar"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_exits_2(self, genuine, tmp_path, capsys, case, sidecar):
+        tool, path = self._forged(genuine, tmp_path, case)
+        src = tmp_path / "app.mc"
+        src.write_text(APP)
+        rc = main(["profile", str(src), "--tool", tool,
+                   "--from-capture", str(path)]
+                  + ([] if sidecar else ["--no-page-cache"]))
+        assert rc == 2
+        assert "forged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tool", ["tquad", "gprof", "quad"])
+    def test_rewritten_genuine_capture_replays(self, genuine, tmp_path,
+                                               tool):
+        """The forging harness itself leaves a genuine capture intact."""
+        _, path = self._forged(genuine, tmp_path, None)
+        program = build_program(APP)
+        with CaptureReader(str(path)) as reader:
+            bundle = replay_many(reader, tools=(tool,),
+                                 options=TQuadOptions(slice_interval=50))
+        direct = {"tquad": lambda: tquad_to_json(run_tquad(
+                      program, options=TQuadOptions(slice_interval=50))),
+                  "gprof": lambda: flat_to_json(run_gprof(program)),
+                  "quad": lambda: quad_to_json(run_quad(program))}[tool]
+        to_json = {"tquad": tquad_to_json, "gprof": flat_to_json,
+                   "quad": quad_to_json}[tool]
+        assert to_json(getattr(bundle, tool)) == direct()
+
+
 class TestToolGuards:
-    def test_tquad_capture_requires_buffered(self):
-        with pytest.raises(ValueError, match="buffered"):
-            TQuadTool(TQuadOptions(), buffered=False,
-                      capture=CaptureCollector())
-
-    def test_quad_capture_requires_paged_shadow(self):
-        with pytest.raises(ValueError, match="paged"):
-            QuadTool(shadow="legacy", capture=CaptureCollector())
-
     def test_capturing_quad_tool_records_only(self):
         engine = PinEngine(build_program(APP))
         collector = CaptureCollector()
@@ -426,7 +537,7 @@ class TestMultipass:
     def test_capture_path_matches_reexecution(self):
         intervals = [50, 200, 1000]
         fast = profile_passes(self._build, intervals)
-        slow = profile_passes(self._build, intervals, reexecute=True)
+        slow = reexecute_passes(self._build, intervals)
         for interval in intervals:
             assert tquad_to_json(fast.reports[interval]) \
                 == tquad_to_json(slow.reports[interval])
@@ -434,5 +545,5 @@ class TestMultipass:
 
     def test_non_divisible_intervals_use_gcd_grain(self):
         fast = profile_passes(self._build, [150, 100])
-        slow = profile_passes(self._build, [150, 100], reexecute=True)
+        slow = reexecute_passes(self._build, [150, 100])
         assert fast.format_table() == slow.format_table()

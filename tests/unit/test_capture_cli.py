@@ -106,6 +106,20 @@ class TestReplayMatchesDirect:
                      "--from-capture", str(out)]) == 0
         assert capsys.readouterr().out == direct
 
+    def test_parallel_capture_out_prints_the_replay(self, app, tmp_path,
+                                                    capsys):
+        """``--capture-out --jobs N`` prints what ``--from-capture``
+        prints for the file it wrote, replay flags (here the sampled
+        ``--approx`` table and its estimate lines) included."""
+        out = tmp_path / "rec.capture"
+        assert main(["profile", str(app), "--interval", "500",
+                     "--capture-out", str(out), "--jobs", "2",
+                     "--approx", "0.5"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["profile", str(app), "--interval", "500",
+                     "--from-capture", str(out), "--approx", "0.5"]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_json_export_from_capture(self, app, capture, tmp_path,
                                       capsys):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -123,10 +137,6 @@ class TestUsageErrors:
         (["--from-capture", "c", "--jobs", "2"], "--jobs"),
         (["--from-capture", "c", "--cache"], "--cache"),
         (["--from-capture", "c", "--imix"], "--cache"),
-        (["--from-capture", "c", "--tool", "quad", "--shadow", "legacy"],
-         "legacy"),
-        (["--capture-out", "d", "--tool", "quad", "--shadow", "legacy"],
-         "paged"),
         (["--capture-out", "d", "--jobs", "2", "--tool", "gprof"],
          "--tool tquad"),
     ])

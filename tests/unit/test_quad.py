@@ -9,6 +9,7 @@ from repro.pin import PinEngine
 from repro.quad import (InstrumentationCostModel, QuadTool,
                         instrumented_profile, rank_shifts, run_quad)
 from repro.vm import DATA_BASE
+from tests.reference.quad import PerByteQuadTool
 
 PIPELINE = """
 int buf[32];
@@ -123,7 +124,8 @@ class TestShadowMemory:
 def _straddle_report(shadow: str, store: str, load: str,
                      sp_off: int) -> "object":
     """Run one store+load pair whose EA straddles SP (``ea < sp < ea+size``)
-    and return the QUAD report."""
+    and return the QUAD report of `QuadTool` (``"paged"``) or the per-byte
+    oracle (``"legacy"``)."""
     src = f"""
         .text
         .func main
@@ -139,7 +141,8 @@ def _straddle_report(shadow: str, store: str, load: str,
         .endfunc
     """
     engine = PinEngine(assemble(src))
-    tool = QuadTool(shadow=shadow).attach(engine)
+    tool = (QuadTool() if shadow == "paged" else PerByteQuadTool())
+    tool.attach(engine)
     engine.run()
     return tool.report()
 
@@ -177,21 +180,13 @@ class TestSpStraddle:
 
 class TestShadowStats:
     def test_paged_report_carries_footprint_stats(self):
-        rep = run_quad(build_program(PIPELINE), shadow="paged")
+        rep = run_quad(build_program(PIPELINE))
         s = rep.shadow_stats
         assert s is not None and s["shadow_pages"] >= 1
         assert s["interned_kernels"] >= 2
         assert s["resident_bytes"] > 0
         assert "QUAD shadow memory:" in rep.format_stats()
 
-    def test_legacy_report_has_no_stats(self):
-        rep = run_quad(build_program(PIPELINE), shadow="legacy")
-        assert rep.shadow_stats is None
-        assert "unavailable" in rep.format_stats()
-
-    def test_unknown_shadow_rejected(self):
-        with pytest.raises(ValueError):
-            QuadTool(shadow="bogus")
 
 
 class TestQuadReport:
@@ -203,10 +198,50 @@ class TestQuadReport:
 
     def test_qdu_graph(self):
         rep = run_quad(build_program(PIPELINE))
-        g = rep.qdu_graph(include_stack=False)
-        assert g.has_edge("producer", "consumer")
-        assert g["producer"]["consumer"]["bytes"] == 256
-        assert "strlen" not in g
+        nodes, edges = rep.qdu_graph(include_stack=False)
+        assert edges[("producer", "consumer")] == 256
+        assert nodes["producer"]["out_unma"] == \
+            rep.row("producer").out_unma_excl
+        assert nodes["consumer"]["in_bytes"] == rep.row("consumer").in_excl
+        assert "strlen" not in nodes
+        assert all(p in nodes and c in nodes for p, c in edges)
+
+    def test_clustering_breaks_weight_ties_by_adjacency_order(self):
+        """Equal-weight edges merge in adjacency order, not binding order:
+        edges are grouped under whichever endpoint entered the graph
+        first.  a-e (grouped under a) therefore precedes c-d although its
+        binding came later, and it is the one edge merged at four
+        clusters."""
+        from repro.analysis import cluster_kernels
+        from repro.quad import KernelIO, QuadReport
+
+        rep = QuadReport(
+            kernels={n: KernelIO(reads=1) for n in "abcde"},
+            bindings={("a", "b"): [3, 3], ("c", "d"): [7, 7],
+                      ("e", "a"): [7, 7]})
+        nodes, edges = rep.qdu_graph()
+        assert list(nodes) == list("abcde")
+        assert edges == {("a", "b"): 3, ("c", "d"): 7, ("e", "a"): 7}
+        result = cluster_kernels(rep, n_clusters=4)
+        assert [sorted(c.members) for c in result.clusters] == \
+            [["a", "e"], ["b"], ["c"], ["d"]]
+        assert (result.cut_bytes, result.total_bytes) == (10, 17)
+
+    def test_imports_without_networkx(self):
+        """The package needs only numpy: the QDU graph and clustering run
+        on plain dicts, so ``import repro.cli`` works with networkx
+        absent."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys; sys.modules['networkx'] = None; "
+                "import repro.cli, repro.analysis")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_stack_in_ratio(self):
         rep = run_quad(build_program(PIPELINE))

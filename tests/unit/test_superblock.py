@@ -1,9 +1,10 @@
 """Differential tests for the superblock JIT and buffered analysis paths.
 
 The fused (superblock) tier, the per-instruction tier, the buffered
-recording analysis and the legacy per-event analysis must all be
-observationally identical: same architectural state, same instruction
-counts, same compile counts, same profiler reports.  These tests pin that
+recording analysis and the paper's per-event analysis (the oracle in
+``tests/reference/tquad.py``) must all be observationally identical:
+same architectural state, same instruction counts, same compile counts,
+same profiler reports.  These tests pin that
 equivalence on the MiniC kernel corpus and the WFS application, plus the
 exact-budget semantics of ``Machine.run``.
 """
@@ -28,6 +29,14 @@ from repro.serialize import quad_to_json, tquad_to_json
 from repro.vm import InstructionBudgetExceeded, Machine
 from repro.vm.errors import ArithmeticFault, MemoryFault
 from repro.vm.superblock import MAX_BLOCK, build_block
+from tests.reference.tquad import PerEventTQuadTool, run_per_event_tquad
+
+
+def _tquad(program, *, buffered, **kwargs):
+    """tQUAD report from the recording tool, or (``buffered=False``) from
+    the per-event oracle."""
+    run = run_tquad if buffered else run_per_event_tquad
+    return run(program, **kwargs)
 
 
 def _run(program, *, jit, fs=None, **kw):
@@ -145,8 +154,8 @@ class TestProfilerDifferential:
         tables = set()
         for buffered in (True, False):
             for jit in (True, False):
-                report = run_tquad(program, options=options,
-                                   buffered=buffered, jit=jit)
+                report = _tquad(program, options=options,
+                                buffered=buffered, jit=jit)
                 tables.add(report.format_table())
         assert len(tables) == 1
 
@@ -156,8 +165,8 @@ class TestProfilerDifferential:
         options = TQuadOptions(slice_interval=20000)
         tables = set()
         for jit in (True, False):
-            report = run_tquad(program, options=options, buffered=buffered,
-                               jit=jit, fs=make_workspace(TINY))
+            report = _tquad(program, options=options, buffered=buffered,
+                            jit=jit, fs=make_workspace(TINY))
             tables.add(report.format_table())
         assert len(tables) == 1
 
@@ -165,8 +174,8 @@ class TestProfilerDifferential:
         program = build_wfs_program(TINY)
         options = TQuadOptions(slice_interval=20000)
         tables = {
-            buffered: run_tquad(program, options=options, buffered=buffered,
-                                fs=make_workspace(TINY)).format_table()
+            buffered: _tquad(program, options=options, buffered=buffered,
+                             fs=make_workspace(TINY)).format_table()
             for buffered in (True, False)
         }
         assert tables[True] == tables[False]
@@ -208,9 +217,9 @@ class TestProfilerDifferential:
         counts = set()
         for buffered in (True, False):
             for jit in (True, False):
-                from repro.core import TQuadTool
                 engine = PinEngine(program, jit=jit)
-                tool = TQuadTool(buffered=buffered).attach(engine)
+                tool = (TQuadTool() if buffered
+                        else PerEventTQuadTool()).attach(engine)
                 engine.run()
                 counts.add(tool.prefetches_skipped)
         assert counts == {32}

@@ -80,12 +80,6 @@ class TestMultipassValidation:
         with pytest.raises(ValueError, match="positive"):
             profile_passes(self._build, intervals)
 
-    def test_reexecute_path_validates_too(self):
-        with pytest.raises(ValueError):
-            profile_passes(self._build, [], reexecute=True)
-        with pytest.raises(ValueError):
-            profile_passes(self._build, [-1], reexecute=True)
-
 
 class TestReaderPageCache:
     def test_counters_without_cache(self):
